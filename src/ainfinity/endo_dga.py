@@ -8,17 +8,21 @@ differential is
     D f = d o f - (-1)^|f| f o d,
 
 which raises the degree by one.  Homology is computed exactly over the
-prime field: cycle and boundary spaces are flattened onto coefficient
-vectors of the R-linear components, one block per position.
+prime field, locally wherever the resolution allows it:
 
-Conventions that the rest of the engine relies on:
-
-* class coordinates are read off a canonical solve against
-  [representatives | boundary-operator], so they are deterministic;
+* cycle checks use the componentwise differential, which is cached on
+  the element;
+* the cyclic resolution is minimal (its differentials are a and
+  a^(q-1)), so Ext^g = Hom(X_g, k) and the class of a degree-g cycle is
+  the a^0 coefficient of its bottom component f_g divided by that of the
+  basis representative (degree 0 reads the action on the augmentation);
 * nullhomotopies are solved position by position from the bottom of the
   truncation upward, always taking the canonical solution (free
-  coordinates zero).  On periodic input this reproduces the periodic
-  homotopies of the cyclic family on the nose;
+  coordinates zero).  Above the joint bottom equation the per-position
+  operators repeat with the period, so one elimination per (degree,
+  position mod period) is cached on the algebra.  On periodic input
+  this reproduces the periodic homotopies of the cyclic family on the
+  nose;
 * for the cyclic family the degree-1 homology generator is represented
   by the cocycle with component (-1)^n * a^(q-2) at even positions n and
   (-1)^n * 1 at odd positions, and the degree-2 generator by the
@@ -26,9 +30,17 @@ Conventions that the rest of the engine relies on:
   alternating (a^(q-2), 1) and (1, 1) pictures; in odd characteristic
   the sign alternation is forced by D f = d f + f d on degree-1 maps.
 
-Homology data is cached per degree behind a lock; all values are
-immutable after construction, so concurrent readers need no further
-coordination.
+The flattened path -- window-global coordinate vectors, one block per
+position, and the differential as a matrix on them (`d_matrix`) -- stays
+as the oracle: it checks each pinned representative once per degree,
+builds the "auto" echelon representatives, counts dimensions for
+homology_basis(verify="full"), and reads classes (`flattened_class_of`)
+for families other than the cyclic one.
+
+Caches: homology bases per degree and the per-parity homotopy operators,
+both filled behind a lock; ranks of d_matrix and the flattened class
+contexts of the oracle.  All cached values are immutable after
+construction, so concurrent readers need no further coordination.
 """
 
 from __future__ import annotations
@@ -224,9 +236,9 @@ class EndomorphismAlgebra:
         self.f1_mode = f1_mode
         self._lock = threading.Lock()
         self._layouts: dict[int, _DegreeLayout] = {}
-        self._d_matrices: dict[int, np.ndarray] = {}
         self._d_ranks: dict[int, int] = {}
         self._class_contexts: dict[int, tuple] = {}
+        self._homotopy_ops: dict[tuple, tuple] = {}
         self._basis: dict[int, list] = {}
 
     # ----- basic constructors -------------------------------------------------
@@ -360,10 +372,11 @@ class EndomorphismAlgebra:
         return GradedEndomorphism(self, degree, comps)
 
     def d_matrix(self, degree: int) -> np.ndarray:
-        """Matrix of the differential from degree g to degree g+1 coordinates."""
-        m = self._d_matrices.get(degree)
-        if m is not None:
-            return m
+        """Matrix of the differential from degree g to degree g+1 coordinates.
+
+        Window-global and uncached: the oracle for `differential`, used
+        once per degree to check the basis representatives.
+        """
         res = self.resolution
         src, tgt = self.layout(degree), self.layout(degree + 1)
         out = np.zeros((tgt.total, src.total), dtype=np.int64)
@@ -382,7 +395,6 @@ class EndomorphismAlgebra:
                 out[tgt.offsets[n]:tgt.offsets[n] + tgt.sizes[n],
                     src.offsets[n - 1]:src.offsets[n - 1] + src.sizes[n - 1]] -= sign * right
         out %= self.p
-        self._d_matrices[degree] = out
         return out
 
     def _compose_operator(self, d: AlgebraMap, other_rank: int, left_side: bool) -> np.ndarray:
@@ -471,23 +483,23 @@ class EndomorphismAlgebra:
     def _build_reps(self, degree: int) -> list:
         if degree == 0:
             return [self.identity()]
+        dmat = self.d_matrix(degree)
         if self.f1_mode == "paper":
             rep = self.power(self.rep_y(), degree // 2)
             if degree % 2:
                 rep = self.compose(self.rep_x(), rep)
             reps = [rep]
         else:
-            reps = self._echelon_reps(degree)
+            reps = self._echelon_reps(degree, dmat)
         p = self.p
-        dmat = self.d_matrix(degree)
         for rep in reps:
             if np.any((dmat @ self.coords_of(rep)) % p):
                 raise NotACycle(f"degree-{degree} representative is not a cycle")
         return reps
 
-    def _echelon_reps(self, degree: int) -> list:
+    def _echelon_reps(self, degree: int, dmat: np.ndarray) -> list:
         p = self.p
-        cycles = kernel_basis_array(self.d_matrix(degree), p)
+        cycles = kernel_basis_array(dmat, p)
         if not cycles:
             return []
         boundary = self.d_matrix(degree - 1) if degree > 0 else None
@@ -523,7 +535,40 @@ class EndomorphismAlgebra:
         return ctx
 
     def class_of(self, f: GradedEndomorphism) -> HomologyClass:
-        """Coordinates of the class of a cycle in the chosen basis."""
+        """Coordinates of the class of a cycle in the chosen basis.
+
+        On the cyclic family the class is read from one coefficient (see
+        the module docstring).  A cycle that only the window edge makes
+        closed is not told apart by this read; the engine always solves
+        for the nullhomotopy of f - f_1(class) next, and that exact solve
+        raises NotABoundary on it.  Other families go through the
+        flattened oracle.
+        """
+        g = f.degree
+        self._require_window(g)
+        if not f.differential().is_zero():
+            raise NotACycle(f"degree-{g} element has nonzero differential")
+        if g == 0:
+            return HomologyClass(0, (self._augmentation_scalar(f),))
+        if self.resolution.family != "cyclic":
+            return self.flattened_class_of(f)
+        basis = self.homology_basis(g)
+        if len(basis) != 1:
+            raise TruncationTooShort(
+                f"degree {g}: {len(basis)} representatives on a cyclic family; "
+                "the truncation window is unstable")
+        p = self.p
+        lead = int(basis[0][1].component(g).entries[0, 0, 0])
+        if lead == 0:
+            raise TruncationTooShort(
+                f"degree {g}: representative has no a^0 term at the bottom; "
+                "the truncation window is unstable")
+        coeff = int(f.component(g).entries[0, 0, 0]) * pow(lead, p - 2, p) % p
+        return HomologyClass(g, (coeff,))
+
+    def flattened_class_of(self, f: GradedEndomorphism) -> HomologyClass:
+        """Class coordinates by a canonical solve against the window-global
+        [representatives | boundary-operator] matrix (the oracle path)."""
         g = f.degree
         self._require_window(g)
         v = self.coords_of(f)
@@ -553,7 +598,8 @@ class EndomorphismAlgebra:
         """Canonical h with D h = f, solved from the bottom position upward.
 
         The first window equation is solved jointly for the two lowest
-        components; every later position is a single canonical solve.
+        components; every later position is a canonical solve against the
+        cached operators of its parity (`_homotopy_operators`).
         Raises NotABoundary when the class of f is nonzero.
         """
         if f.degree < 1:
@@ -568,21 +614,17 @@ class EndomorphismAlgebra:
             return self.zero(g)
         sign = -1 if g % 2 else 1
         q = res.algebra.q
-
-        def left_op(n):
-            return self._compose_operator(res.differential(n - g),
-                                          res.module_rank(n), left_side=True)
-
-        def right_op(n):
-            return self._compose_operator(res.differential(n),
-                                          res.module_rank(n - 1 - g), left_side=False)
+        p = self.p
 
         comps = {}
         n0 = g + 1
-        lmat, rmat = left_op(n0), right_op(n0)
-        joint = np.concatenate([(-sign * rmat) % self.p, lmat], axis=1)
+        lmat = self._compose_operator(res.differential(n0 - g), res.module_rank(n0),
+                                      left_side=True)
+        rmat = self._compose_operator(res.differential(n0), res.module_rank(0),
+                                      left_side=False)
+        joint = np.concatenate([(-sign * rmat) % p, lmat], axis=1)
         rhs = f.component(n0).coords()
-        x = solve_array(joint, rhs, self.p)
+        x = solve_array(joint, rhs, p)
         if x is None:
             raise NotABoundary(f"no homotopy at position {n0}")
         split = res.module_rank(g) * res.module_rank(0) * q
@@ -594,14 +636,36 @@ class EndomorphismAlgebra:
                                            res.module_rank(n0), cur)
         prev = cur
         for n in range(n0 + 1, L + 1):
-            rhs = (f.component(n).coords() + sign * (right_op(n) @ prev)) % self.p
-            x = solve_array(left_op(n), rhs, self.p)
+            left, right = self._homotopy_operators(g, n)
+            rhs = (f.component(n).coords() + sign * (right @ prev)) % p
+            x = left.solve(rhs)
             if x is None:
                 raise NotABoundary(f"no homotopy at position {n}")
             comps[n] = AlgebraMap.from_coords(res.algebra, res.module_rank(n - g),
                                               res.module_rank(n), x)
             prev = x
         return GradedEndomorphism(self, g, comps)
+
+    def _homotopy_operators(self, g: int, n: int) -> tuple:
+        """(SolveContext of h_n -> d o h_n, matrix of h_(n-1) -> h_(n-1) o d_n)
+        for a degree-g homotopy at position n >= g + 2.
+
+        Every index involved is at least 1, where differentials and ranks
+        repeat with the period, so the pair depends on n mod period only.
+        """
+        res = self.resolution
+        key = (g, n % res.period)
+        with self._lock:
+            ops = self._homotopy_ops.get(key)
+            if ops is None:
+                left = self._compose_operator(res.differential(n - g),
+                                              res.module_rank(n), left_side=True)
+                right = self._compose_operator(res.differential(n),
+                                               res.module_rank(n - 1 - g),
+                                               left_side=False)
+                ops = (SolveContext(left, self.p), right)
+                self._homotopy_ops[key] = ops
+        return ops
 
     def periodic_compact(self, f: GradedEndomorphism, period: int | None = None) -> CompactForm:
         """Compress f to one period of components, or raise NotPeriodic.

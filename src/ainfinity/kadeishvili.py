@@ -39,11 +39,10 @@ import itertools
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .endo_dga import EndomorphismAlgebra, GradedEndomorphism, HomologyClass
 from .errors import (CertificateMissing, CommutationFailure, InvalidParameter,
-                     PsiNotCycle, TruncationTooShort, UnresolvableValue)
+                     NotPeriodic, PsiNotCycle, TruncationTooShort,
+                     UnresolvableValue)
 from .resolution import AlgebraMap
 
 Monomial = tuple  # (e, j) meaning x^e * y^j with e in {0, 1}
@@ -412,8 +411,7 @@ class AInfinityRecord:
                 if value.is_zero():
                     continue
             total = total + value.scale(term.sign)
-        coords = self.algebra.coords_of(total)
-        if np.any((self.algebra.d_matrix(target_degree) @ coords) % self.algebra.p):
+        if not total.differential().is_zero():
             raise PsiNotCycle(
                 f"obstruction at arity {n} on {self._key_name(key)} is not a cycle; "
                 "this indicates sign or memo corruption")
@@ -523,7 +521,7 @@ class AInfinityRecord:
                 continue
             try:
                 compacts[key] = self.algebra.periodic_compact(value, period)
-            except Exception as exc:  # NotPeriodic or TruncationTooShort
+            except (NotPeriodic, TruncationTooShort) as exc:
                 self.certification_failures[arity] = CertificationFailure(
                     arity, key, str(exc))
                 return

@@ -1,5 +1,6 @@
 """Command-line driver: runs, serialization round-trips, queries."""
 
+import hashlib
 import json
 
 import pytest
@@ -73,6 +74,38 @@ class TestStructureFile:
     def test_rejects_foreign_documents(self):
         with pytest.raises(InvalidParameter):
             parse_structure(json.dumps({"format": "something-else"}))
+
+
+# sha256 of dump_structure(run(...).document) at max_arity 2q with --verify,
+# recorded before the homology path went local; a change that moves any
+# byte of a structure file on the sweep shows here
+GOLDEN_DIGESTS = {
+    (2, 4, "reduced", "paper"): "afbbcdb7592cd31a1d2d762ff252d3af6c88ef71f4447643c63a7954a9907cba",
+    (2, 8, "reduced", "paper"): "8f1cef6d2c610c34886639d2d701c964961a853f1da5ac74f55951129fe92932",
+    (3, 3, "reduced", "paper"): "c159c5c121acf29f76d753f7a62e58313a3357418abb0080a5811844e33ec444",
+    (3, 9, "reduced", "paper"): "92bb8b34d8d719ec1d7c8874b5096582cd1818540389eab8de265509ea7b51df",
+    (5, 5, "reduced", "paper"): "a646e753faf02592d84290beb45f7a4d6eff45060dbd8e85d7406f7966baf7a4",
+    (2, 4, "brute-force", "paper"): "390d65065e8aac224d2285096817fc78bfba3e69e667a6072b438deed7cab883",
+    (2, 8, "brute-force", "paper"): "57a4a161b7362a2f0737652fa1e693a5403192479df73c40144489abe4ef0356",
+    (3, 3, "brute-force", "paper"): "247bfca9c0c352d1a42a92ae63a46319790fb634a8e6f58fea77a197c5502a6f",
+    (3, 9, "brute-force", "paper"): "983361620277e0dfb1e95c3bb3e76ee6c8cada20e24a37a63391ab36487a9eee",
+    (5, 5, "brute-force", "paper"): "a7af813b0cdfe2a7d1941704677d35759d0f45d50cbc16ddd828e1a6ef14227d",
+    (2, 4, "reduced", "auto"): "3a8efa2b0bc4dd8686b77e385f06d7e668680a56999fcf2d1b438aa78d63b501",
+    (2, 8, "reduced", "auto"): "1a3f404ad8305e84c118fa5584993b7910410d73b89c8ca13bf156d2f072f7e9",
+    (3, 3, "reduced", "auto"): "2ae67913d62d359f55bacb4aec8752931b325b1ff04ccc4b87a5cbd7b1fc1fc9",
+    (3, 9, "reduced", "auto"): "9048060aed363d2094027a5ebec3af3f34e7311d4150e01cea874670a7452725",
+    (5, 5, "reduced", "auto"): "24eebffd82f6e5fe73bbf247c88a4c7afd4bbd274d04a54a33749004dcf2d0ec",
+}
+
+
+@pytest.mark.parametrize("p,q,mode,f1_mode", sorted(GOLDEN_DIGESTS))
+def test_golden_structure_digest(p, q, mode, f1_mode):
+    result = run(RunConfig(p=p, q=q, max_arity=2 * q, mode=mode,
+                           f1_mode=f1_mode, verify=True))
+    assert result.exit_code == 0
+    text = dump_structure(result.document)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == GOLDEN_DIGESTS[(p, q, mode, f1_mode)]
 
 
 class TestElementParsing:

@@ -6,7 +6,9 @@ import pytest
 from ainfinity.endo_dga import EndomorphismAlgebra
 from ainfinity.errors import (NotABoundary, NotACycle, NotPeriodic,
                               TruncationTooShort)
-from ainfinity.resolution import AlgebraMap, build_cyclic_resolution
+from ainfinity.ff_linalg import solve_array
+from ainfinity.resolution import (AlgebraMap, PeriodicResolution,
+                                  build_cyclic_resolution)
 
 
 def make_algebra(p, q, length=24, f1_mode="paper"):
@@ -167,7 +169,92 @@ class TestHomology:
             algebra.class_of(algebra.rep_y().scale(1))
 
 
+class TestLocalClassRead:
+    """The O(1) class read of the cyclic family against the flattened oracle."""
+
+    @pytest.mark.parametrize("f1_mode", ["paper", "auto"])
+    @pytest.mark.parametrize("p,q", [(2, 4), (3, 3), (5, 5), (3, 9), (7, 4)])
+    def test_matches_flattened_oracle(self, p, q, f1_mode):
+        algebra = make_algebra(p, q, length=16, f1_mode=f1_mode)
+        rng = np.random.default_rng(1000 * p + q)
+        for degree in range(0, 8):
+            rep = algebra.homology_basis(degree)[0][1]
+            for _ in range(3):
+                c = int(rng.integers(0, p))
+                f = rep.scale(c)
+                if degree > 0:
+                    h = algebra.random_endomorphism(rng, degree - 1)
+                    f = f + algebra.differential(h)
+                local = algebra.class_of(f)
+                assert local == algebra.flattened_class_of(f)
+                assert local.coords == (c,)
+
+    def test_non_cyclic_family_uses_the_oracle(self):
+        # the cyclic data declared as a custom family reaches the
+        # flattened path and gets the same answers
+        cyclic = build_cyclic_resolution(3, 4, 14)
+        custom = PeriodicResolution(cyclic.algebra, 2, 14, cyclic.ranks,
+                                    cyclic.differentials, cyclic.augmentation)
+        local = EndomorphismAlgebra(cyclic, "auto")
+        oracle = EndomorphismAlgebra(custom, "auto")
+        rng = np.random.default_rng(41)
+        for degree in (1, 2, 3):
+            rep = oracle.homology_basis(degree)[0][1]
+            h = oracle.random_endomorphism(rng, degree - 1)
+            f = rep.scale(2) + oracle.differential(h)
+            mirrored = local.from_components(degree, f.components)
+            assert oracle.class_of(f) == local.class_of(mirrored)
+
+
+def reference_nullhomotopy(algebra, f):
+    """Per-position canonical solves with freshly built operators."""
+    res = algebra.resolution
+    p, q = algebra.p, algebra.q
+    g = f.degree - 1
+    sign = -1 if g % 2 else 1
+
+    def left_op(n):
+        return algebra._compose_operator(res.differential(n - g),
+                                         res.module_rank(n), left_side=True)
+
+    def right_op(n):
+        return algebra._compose_operator(res.differential(n),
+                                         res.module_rank(n - 1 - g), left_side=False)
+
+    n0 = g + 1
+    joint = np.concatenate([(-sign * right_op(n0)) % p, left_op(n0)], axis=1)
+    x = solve_array(joint, f.component(n0).coords(), p)
+    split = res.module_rank(g) * res.module_rank(0) * q
+    comps = {g: AlgebraMap.from_coords(res.algebra, res.module_rank(0),
+                                       res.module_rank(g), x[:split]),
+             n0: AlgebraMap.from_coords(res.algebra, res.module_rank(1),
+                                        res.module_rank(n0), x[split:])}
+    prev = x[split:]
+    for n in range(n0 + 1, res.length + 1):
+        rhs = (f.component(n).coords() + sign * (right_op(n) @ prev)) % p
+        x = solve_array(left_op(n), rhs, p)
+        comps[n] = AlgebraMap.from_coords(res.algebra, res.module_rank(n - g),
+                                          res.module_rank(n), x)
+        prev = x
+    return algebra.from_components(g, comps)
+
+
 class TestNullhomotopy:
+    def test_cached_operators_match_fresh_solves(self, algebra):
+        rng = np.random.default_rng(31)
+        for degree in (1, 2, 3, 4):
+            for _ in range(3):
+                w = algebra.random_endomorphism(rng, degree - 1)
+                boundary = algebra.differential(w)
+                h = algebra.nullhomotopy(boundary)
+                assert h == reference_nullhomotopy(algebra, boundary)
+                assert algebra.differential(h) == boundary
+
+    def test_assumed_boundary_still_checked(self, algebra):
+        # skipping the class read leaves the exact solve to reject it
+        with pytest.raises(NotABoundary):
+            algebra.nullhomotopy(algebra.rep_x(), assume_boundary=True)
+
     def test_zero_gives_zero(self, algebra):
         assert algebra.nullhomotopy(algebra.zero(2)).is_zero()
 

@@ -1,12 +1,14 @@
 """The inductive algorithm: signs, obstructions, memo tables, reductions."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import computed_record
 from ainfinity.endo_dga import EndomorphismAlgebra
 from ainfinity.errors import (CertificateMissing, CommutationFailure,
-                              InvalidParameter)
+                              DimensionMismatch, InvalidParameter)
 from ainfinity.kadeishvili import (AInfinityRecord, CertificationFailure,
                                    HElement, PeriodicityCertificate, UNIT, X,
                                    Y, first_complete_arity, insertion_sign,
@@ -213,6 +215,20 @@ class TestCertification:
         assert isinstance(result, CertificationFailure)
         assert result.key == key
 
+    def test_unexpected_errors_propagate(self, monkeypatch):
+        # only NotPeriodic and TruncationTooShort are certification outcomes;
+        # anything else is a fault and must not be recorded as a failure
+        algebra = EndomorphismAlgebra(build_cyclic_resolution(2, 4, 20))
+        rec = AInfinityRecord(algebra, mode="reduced")
+
+        def broken(f, period=None):
+            raise DimensionMismatch("injected")
+
+        monkeypatch.setattr(algebra, "periodic_compact", broken)
+        with pytest.raises(DimensionMismatch, match="injected"):
+            rec.compute_arity(2)
+        assert not rec.certification_failures
+
     def test_commutation_abort_on_corruption(self):
         rec, _ = computed_record(2, 4, max_arity=3)
         rec2 = AInfinityRecord(rec.algebra, mode="reduced")
@@ -312,6 +328,13 @@ class TestConcurrency:
         from ainfinity.resolution import build_cyclic_resolution
 
         algebra = EndomorphismAlgebra(build_cyclic_resolution(3, 3, 28))
+        serial = EndomorphismAlgebra(build_cyclic_resolution(3, 3, 28))
+        rng = np.random.default_rng(13)
+        boundaries = [algebra.differential(algebra.random_endomorphism(rng, g))
+                      for g in (0, 1, 2)]
+        expected = [serial.nullhomotopy(
+            serial.from_components(b.degree, b.components)).components
+            for b in boundaries]
         errors = []
 
         def reader():
@@ -321,14 +344,22 @@ class TestConcurrency:
                     assert len(basis) == 1
                     cls = algebra.class_of(basis[0][1])
                     assert cls.coords == (1,)
+                for b, want in zip(boundaries, expected):
+                    assert algebra.nullhomotopy(b).components == want
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
         threads = [threading.Thread(target=reader) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
         assert not errors
         # one shared basis object per degree
         for degree in range(0, 6):
