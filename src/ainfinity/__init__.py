@@ -5,7 +5,7 @@ from .errors import (AInfinityError, CertificateMissing, CommutationFailure,
                      DimensionMismatch, InvalidParameter, NotABoundary,
                      NotACycle, NotPeriodic, PsiNotCycle, TruncationTooShort,
                      UnresolvableValue)
-from .ff_linalg import Matrix, PrimeField, kernel_basis, rref, solve
+from .ff_linalg import PrimeField
 from .resolution import (AlgebraElement, AlgebraMap, PeriodicResolution,
                          TruncatedPolyAlgebra, build_cyclic_resolution,
                          check_exactness)
@@ -15,23 +15,23 @@ from .kadeishvili import (AInfinityRecord, HElement, SignedTerm,
                           StructureSummary, first_complete_arity,
                           insertion_sign, monomial_name, obstruction_terms,
                           split_sign)
-from .stasheff import (StructureTable, VerificationReport, check_morphism,
-                       check_structure, verify_structure)
+from .stasheff import (VerificationReport, check_morphism, check_structure,
+                       verify_structure)
 from .cli import RunConfig, default_truncation, parse_structure, run
 
 __all__ = [
     "AInfinityError", "CertificateMissing", "CommutationFailure",
     "DimensionMismatch", "InvalidParameter", "NotABoundary", "NotACycle",
     "NotPeriodic", "PsiNotCycle", "TruncationTooShort", "UnresolvableValue",
-    "Matrix", "PrimeField", "kernel_basis", "rref", "solve",
+    "PrimeField",
     "AlgebraElement", "AlgebraMap", "PeriodicResolution",
     "TruncatedPolyAlgebra", "build_cyclic_resolution", "check_exactness",
     "CompactForm", "EndomorphismAlgebra", "GradedEndomorphism", "HomologyClass",
     "AInfinityRecord", "HElement", "SignedTerm", "StructureSummary",
     "first_complete_arity", "insertion_sign", "monomial_name",
     "obstruction_terms", "split_sign",
-    "StructureTable", "VerificationReport", "check_morphism",
-    "check_structure", "verify_structure",
+    "VerificationReport", "check_morphism", "check_structure",
+    "verify_structure",
     "RunConfig", "default_truncation", "parse_structure", "run",
 ]
 

@@ -24,8 +24,8 @@ from pathlib import Path
 from .endo_dga import EndomorphismAlgebra
 from .errors import AInfinityError, InvalidParameter, UnresolvableValue
 from .kadeishvili import (AInfinityRecord, HElement, StructureSummary, UNIT,
-                          X, monomial_degree, monomial_name,
-                          monomial_of_degree)
+                          X, locate, monomial_degree, monomial_name,
+                          monomial_of_degree, monomial_terms, ring_product)
 from .resolution import build_cyclic_resolution
 from .stasheff import verify_structure
 
@@ -217,21 +217,31 @@ def dump_structure(doc: dict) -> str:
 
 
 def parse_structure(text: str) -> dict:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidParameter(f"structure file is not JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise InvalidParameter(f"not a {FORMAT_NAME} document")
     for section in ("header", "basis", "products", "maps"):
         if section not in doc:
             raise InvalidParameter(f"structure file is missing {section!r}")
+    header = doc["header"]
+    if not isinstance(header, dict):
+        raise InvalidParameter("structure file header is not an object")
+    for field in ("p", "q", "f1", "halting"):
+        if field not in header:
+            raise InvalidParameter(f"structure file header is missing {field!r}")
     return doc
 
 
 class DocTable:
     """Query evaluation against a parsed structure file.
 
-    Mirrors the engine's resolution rules (strict unitality, the ring
-    product at arity 2, polynomial-class linearity, halting extension)
-    using only the values stored in the document.
+    Which value a tuple takes is decided by the engine's own rules
+    (`kadeishvili.ring_product` and `locate`) over the entries stored in
+    the document; this class only realises the outcome: the stored entry,
+    shifted in degree by 2e for the y-linear extension by y^e.
     """
 
     def __init__(self, doc: dict):
@@ -242,54 +252,43 @@ class DocTable:
                       sorted(doc["basis"], key=lambda b: b["index"])]
         self.products = {}
         for entry in doc["products"]:
-            key = tuple(self.monos[i] for i in entry["inputs"])
-            self.products[key] = (entry["degree"], list(entry["coords"]))
+            self.products[tuple(self.monos[i] for i in entry["inputs"])] = entry
         self.maps = {}
         for entry in doc["maps"]:
-            key = tuple(self.monos[i] for i in entry["inputs"])
-            self.maps[key] = entry
+            self.maps[tuple(self.monos[i] for i in entry["inputs"])] = entry
         halting = doc["header"]["halting"]
         self.halted_at = halting.get("arity") if halting["status"] == "complete" else None
 
-    def _halted(self, n: int) -> bool:
-        return self.halted_at is not None and n >= self.halted_at
+    def _stored(self, table: dict, key: tuple):
+        """(stored entry, y-power) realizing the value on the tuple, or
+        (None, 0) when it is zero."""
+        found = locate(key, table, self.halted_at, linear=True)
+        if found is None:
+            return None, 0
+        core, e = found
+        stored = table.get(core)
+        if stored is None:
+            raise UnresolvableValue(
+                f"arity {len(key)} is outside the computed range of the file "
+                "(status is open)")
+        return stored, e
 
     def product(self, key: tuple) -> tuple[int, int]:
         """(degree, coefficient) of m_n on a monic monomial tuple."""
         n = len(key)
-        degree = sum(monomial_degree(m) for m in key) + 2 - n
         if n == 1:
-            return degree, 0
+            return monomial_degree(key[0]) + 1, 0
         if n == 2:
-            (e1, j1), (e2, j2) = key
-            if e1 and e2:
-                return degree, 0
-            return degree, 1
-        if any(m == UNIT for m in key):
-            return degree, 0
-        stored = self.products.get(key)
-        if stored is not None:
-            return stored[0], (stored[1][0] if stored[1] else 0)
-        if self._halted(n):
-            return degree, 0
-        if any(e == 0 for e, _ in key):
-            return degree, 0
-        core = (X,) * n
-        stored = self.products.get(core)
-        if stored is None:
-            raise UnresolvableValue(
-                f"arity {n} is outside the computed range of the file "
-                "(status is open)")
-        return degree, (stored[1][0] if stored[1] else 0)
+            return monomial_degree(key[0]) + monomial_degree(key[1]), ring_product(key)
+        entry, e = self._stored(self.products, key)
+        if entry is None:
+            return sum(monomial_degree(m) for m in key) + 2 - n, 0
+        coords = entry["coords"]
+        return entry["degree"] + 2 * e, (coords[0] if coords else 0)
 
     def product_element(self, slots: list[HElement]) -> HElement:
-        import itertools
         acc = HElement(self.p)
-        for combo in itertools.product(*(s.terms.items() for s in slots)):
-            key = tuple(m for m, _ in combo)
-            coeff = 1
-            for _, c in combo:
-                coeff = (coeff * c) % self.p
+        for key, coeff in monomial_terms(slots, self.p):
             degree, value = self.product(key)
             if value:
                 acc = acc.add(HElement.monomial(self.p, monomial_of_degree(degree),
@@ -298,27 +297,14 @@ class DocTable:
 
     def map_entry(self, key: tuple) -> tuple[dict | None, int]:
         """(stored entry, extra y-shift) realizing f_n on the tuple, or
-        (None, 0) when the value is zero."""
-        n = len(key)
-        if any(m == UNIT for m in key):
-            return None, 0
-        stored = self.maps.get(key)
-        if stored is not None:
-            return stored, 0
-        if self._halted(n):
-            return None, 0
-        if any(e == 0 for e, _ in key):
-            return None, 0
-        if self.doc["header"]["f1"] != "paper":
+        (None, 0) when the value is zero.  The shift is a plain degree
+        shift only when y's representative is the periodicity identity,
+        which holds on paper-mode files."""
+        entry, shift = self._stored(self.maps, key)
+        if shift and self.doc["header"]["f1"] != "paper":
             raise UnresolvableValue(
                 "map queries with y-multiplied entries need a paper-mode file")
-        shift = sum(j for _, j in key)
-        stored = self.maps.get((X,) * n)
-        if stored is None:
-            raise UnresolvableValue(
-                f"arity {n} is outside the computed range of the file "
-                "(status is open)")
-        return stored, shift
+        return entry, shift
 
 
 def format_map_entry(entry: dict | None, shift: int) -> list:
@@ -397,6 +383,10 @@ def run_query(expr: str, doc: dict) -> list:
         if len(s.terms) != 1 or next(iter(s.terms.values())) != 1:
             raise InvalidParameter(
                 "map queries take monic monomial entries (e.g. 'map: y*x, x')")
+    if len(slots) == 1:
+        raise InvalidParameter(
+            "map queries start at arity 2; f_1 is the representative cocycle, "
+            "which structure files do not store")
     key = tuple(next(iter(s.terms)) for s in slots)
     entry, shift = table.map_entry(key)
     return format_map_entry(entry, shift)

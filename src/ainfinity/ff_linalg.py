@@ -1,13 +1,10 @@
 """Exact dense linear algebra over prime fields.
 
-Matrices are immutable wrappers around 2-d numpy int64 arrays with all
-entries reduced mod p. Every operation is pure and deterministic; in
-particular `solve` always returns the canonical solution with zeros in
-all non-pivot coordinates, so identical inputs give identical outputs.
-
-The array-level helpers (`rref_array`, `solve_array`, ...) do the actual
-work and are reused by the higher modules, which keep their own
-coordinate layouts and only need raw vectors.
+Matrices are 2-d numpy int64 arrays, reduced mod p on the way in. Every
+operation is pure and deterministic; in particular `solve_array` always
+returns the canonical solution with zeros in all non-pivot coordinates,
+so identical inputs give identical outputs.  The higher modules keep
+their own coordinate layouts and pass raw arrays and vectors.
 """
 
 from __future__ import annotations
@@ -154,114 +151,3 @@ class SolveContext:
         for i, c in enumerate(self.pivots):
             x[c] = y[i]
         return x
-
-
-class Matrix:
-    """Immutable dense matrix over a prime field."""
-
-    __slots__ = ("field", "array")
-
-    def __init__(self, field: PrimeField, array):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "array", _frozen(field.array(array)))
-        if self.array.ndim != 2:
-            raise DimensionMismatch("matrix data must be two-dimensional")
-
-    def __setattr__(self, *args):
-        raise AttributeError("Matrix is immutable")
-
-    @classmethod
-    def from_rows(cls, field: PrimeField, rows) -> "Matrix":
-        return cls(field, rows)
-
-    @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int) -> "Matrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "Matrix":
-        return cls(field, np.eye(n, dtype=np.int64))
-
-    @property
-    def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.field.p == other.field.p
-            and self.array.shape == other.array.shape
-            and bool(np.array_equal(self.array, other.array))
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self.array.shape, self.array.tobytes()))
-
-    def __repr__(self):
-        return f"Matrix(p={self.field.p}, {self.array.tolist()})"
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"{self.array.shape} @ {other.array.shape}")
-        return Matrix(self.field, self.array @ other.array)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.array.shape != other.array.shape:
-            raise DimensionMismatch(f"{self.array.shape} + {other.array.shape}")
-        return Matrix(self.field, self.array + other.array)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.array.shape != other.array.shape:
-            raise DimensionMismatch(f"{self.array.shape} - {other.array.shape}")
-        return Matrix(self.field, self.array - other.array)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.field, -self.array)
-
-    def scale(self, c: int) -> "Matrix":
-        return Matrix(self.field, self.array * (int(c) % self.field.p))
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.array.T)
-
-    def is_zero(self) -> bool:
-        return not np.any(self.array)
-
-    def rref(self) -> tuple["Matrix", list[int]]:
-        r, pivots = rref_array(self.array, self.field.p)
-        return Matrix(self.field, r), pivots
-
-    def rank(self) -> int:
-        return rank_array(self.array, self.field.p)
-
-    def apply(self, v) -> np.ndarray:
-        v = self.field.array(v)
-        if v.shape != (self.cols,):
-            raise DimensionMismatch(f"{self.array.shape} applied to {v.shape}")
-        return (self.array @ v) % self.field.p
-
-
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form and pivot columns; the RREF is unique."""
-    return m.rref()
-
-
-def solve(a: Matrix, b) -> np.ndarray | None:
-    """Canonical particular solution of a x = b, or None when inconsistent.
-
-    The right-hand side is a length-`a.rows` vector; free coordinates of
-    the solution are pinned to zero.
-    """
-    b = a.field.array(b)
-    if b.ndim != 1 or b.shape[0] != a.rows:
-        raise DimensionMismatch(f"matrix {a.array.shape} with rhs {b.shape}")
-    return solve_array(a.array, b, a.field.p)
-
-
-def kernel_basis(a: Matrix) -> list[np.ndarray]:
-    """Echelonized basis of the right null space of `a`."""
-    return kernel_basis_array(a.array, a.field.p)

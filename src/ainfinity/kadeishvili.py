@@ -136,6 +136,53 @@ class HElement:
     __repr__ = __str__
 
 
+# ----- value resolution ---------------------------------------------------------
+#
+# Only the pure-x values m_n(x, ..., x) and f_n(x, ..., x) are stored (brute
+# mode also stores what the recursion reaches); these rules give every other
+# tuple.  The record and the structure-file reader share them and differ only
+# in how they realise a located value.
+
+def ring_product(key: tuple) -> int:
+    """Coefficient of m_2 on a pair of basis monomials: 0 when both carry x
+    (x^2 = 0), else 1; the product has the sum of the two degrees."""
+    return 0 if key[0][0] and key[1][0] else 1
+
+
+def locate(key: tuple, stored, halted_at: int | None, linear: bool):
+    """Where the value of m_n or f_n (n >= 2) on a monomial tuple comes from.
+
+    None when the value is zero: a unit slot (strict unitality), an arity at
+    or past `halted_at`, or, when `linear`, a slot that is a pure y-power
+    (a y-multiple of the unit).  `(key, 0)` when `stored` holds the value,
+    and without `linear` also when the caller must compute it.  Otherwise
+    `(core, e)`: the y-linear extension of the pure-x value `stored[core]`
+    by `y^e`; `core` itself may be missing from `stored`.
+    """
+    if UNIT in key:
+        return None
+    if key in stored:
+        return key, 0
+    n = len(key)
+    if halted_at is not None and n >= halted_at:
+        return None
+    if not linear:
+        return key, 0
+    if not all(e for e, _ in key):
+        return None
+    return (X,) * n, sum(j for _, j in key)
+
+
+def monomial_terms(slots, p: int):
+    """(monomial tuple, coefficient) over the multilinear expansion of a
+    tuple of HElements."""
+    for combo in itertools.product(*(s.terms.items() for s in slots)):
+        coeff = 1
+        for _, c in combo:
+            coeff = coeff * c % p
+        yield tuple(mono for mono, _ in combo), coeff
+
+
 # ----- signs and term layout of the obstruction --------------------------------
 
 def split_sign(degrees, n: int, s: int) -> int:
@@ -312,6 +359,23 @@ class AInfinityRecord:
             f"arity {arity} has neither a periodicity certificate nor a verified "
             "commutation identity; linear extension is not justified")
 
+    def _located(self, table: dict, key: tuple, which: int):
+        """(stored value, y-power) that `locate` points to, or None for zero;
+        brute mode computes unstored tuples of computed arities on demand."""
+        found = locate(key, table, self.halted_at, self.mode == "reduced")
+        if found is None:
+            return None
+        core, e = found
+        value = table.get(core)
+        if value is None:
+            n = len(key)
+            if self.mode == "brute" and n in self.computed_arities:
+                return self._compute_pair(key)[which], 0
+            raise UnresolvableValue(f"arity {n} has not been computed")
+        if e:
+            self._check_extension_allowed(len(key))
+        return value, e
+
     def resolve_product(self, key: tuple) -> HomologyClass:
         """m_n on a tuple of monic monomials, via memo, linearity, or halting."""
         key = tuple(key)
@@ -319,69 +383,30 @@ class AInfinityRecord:
         if n == 1:
             return HomologyClass(monomial_degree(key[0]) + 1, (0,))
         if n == 2:
-            # the ring product; a brute-mode memo entry (computed as the
-            # class of the composed representatives) takes precedence so
-            # the oracle comparison stays honest
+            # a brute-mode memo entry (computed as the class of the composed
+            # representatives) takes precedence so the oracle comparison
+            # stays honest
             hit = self.m_table.get(key)
             if hit is not None:
                 return hit
-            (e1, j1), (e2, j2) = key
-            if e1 and e2:
-                return self._zero_class(key)
             return HomologyClass(monomial_degree(key[0]) + monomial_degree(key[1]),
-                                 (1,))
-        if any(m == UNIT for m in key):
+                                 (ring_product(key),))
+        found = self._located(self.m_table, key, 0)
+        if found is None:
             return self._zero_class(key)
-        hit = self.m_table.get(key)
-        if hit is not None:
-            return hit
-        if self.halted_at is not None and n >= self.halted_at:
-            return self._zero_class(key)
-        if self.mode == "reduced":
-            if any(e == 0 for e, _ in key):
-                # a pure y-power slot is a y-multiple of the unit
-                return self._zero_class(key)
-            e_total = sum(j for _, j in key)
-            core = (X,) * n
-            if core not in self.m_table:
-                raise UnresolvableValue(f"arity {n} has not been computed")
-            if e_total == 0:
-                return self.m_table[core]
-            self._check_extension_allowed(n)
-            base = self.m_table[core]
-            degree = base.degree + 2 * e_total
-            return HomologyClass(degree, base.coords)
-        if n in self.computed_arities:
-            return self._compute_pair(key)[0]
-        raise UnresolvableValue(f"arity {n} has not been computed")
+        value, e = found
+        return HomologyClass(value.degree + 2 * e, value.coords) if e else value
 
     def resolve_map(self, key: tuple) -> GradedEndomorphism:
         """f_n on a tuple of monic monomials, via memo, linearity, or halting."""
         key = tuple(key)
-        n = len(key)
-        if n == 1:
+        if len(key) == 1:
             return self.f1(key[0])
-        if any(m == UNIT for m in key):
+        found = self._located(self.f_table, key, 1)
+        if found is None:
             return self._zero_map(key)
-        hit = self.f_table.get(key)
-        if hit is not None:
-            return hit
-        if self.halted_at is not None and n >= self.halted_at:
-            return self._zero_map(key)
-        if self.mode == "reduced":
-            if any(e == 0 for e, _ in key):
-                return self._zero_map(key)
-            e_total = sum(j for _, j in key)
-            core = (X,) * n
-            if core not in self.f_table:
-                raise UnresolvableValue(f"arity {n} has not been computed")
-            if e_total == 0:
-                return self.f_table[core]
-            self._check_extension_allowed(n)
-            return self.algebra.compose(self.zeta_power(e_total), self.f_table[core])
-        if n in self.computed_arities:
-            return self._compute_pair(key)[1]
-        raise UnresolvableValue(f"arity {n} has not been computed")
+        value, e = found
+        return self.algebra.compose(self.zeta_power(e), value) if e else value
 
     # -- the algorithm ------------------------------------------------------------
 
@@ -424,14 +449,7 @@ class AInfinityRecord:
                 raise UnresolvableValue(
                     f"arity {n} requested before arity {lower} was computed")
         psi = self.obstruction(key)
-        if n == 2 and self.mode == "reduced":
-            (e1, j1), (e2, j2) = key
-            if e1 and e2:
-                product = self._zero_class(key)
-            else:
-                product = HomologyClass(psi.degree, (1,))
-        else:
-            product = self.algebra.class_of(psi)
+        product = self.algebra.class_of(psi)
         rhs = psi - self.f1_of_class(product) if not product.is_zero() else psi
         value = self.algebra.nullhomotopy(rhs, assume_boundary=True)
         self.m_table[key] = product
@@ -540,11 +558,6 @@ class AInfinityRecord:
         self._certify(arity)
         return self.certificates.get(arity) or self.certification_failures[arity]
 
-    def halting_check(self):
-        """'open' or 'complete-at-t' for the smallest valid t."""
-        self.halted_at = first_complete_arity(self.zero_flags, self.computed_arities)
-        return "open" if self.halted_at is None else f"complete-at-{self.halted_at}"
-
     def extend_linear(self, elements) -> tuple:
         """(m value, f value) on a tuple of ring elements, by multilinear
         expansion over the monomial basis.
@@ -563,11 +576,7 @@ class AInfinityRecord:
         degree_sum = sum(next(iter(s.degrees()), 0) for s in slots)
         m_acc = HElement(p)
         f_acc = self.algebra.zero(max(degree_sum + 1 - n, 0))
-        for combo in itertools.product(*(s.terms.items() for s in slots)):
-            key = tuple(mono for mono, _ in combo)
-            coeff = 1
-            for _, c in combo:
-                coeff = (coeff * c) % p
+        for key, coeff in monomial_terms(slots, p):
             m_val = self.resolve_product(key)
             if not m_val.is_zero():
                 m_acc = m_acc.add(HElement.from_class(p, m_val).scale(coeff))

@@ -39,33 +39,7 @@ from .kadeishvili import (AInfinityRecord, X, monomial_degree, monomial_name,
                           monomial_of_degree)
 
 
-class StructureTable:
-    """Read-only view of a record's tables plus their certified extensions.
-
-    Any monomial tuple of any arity resolves to a value: memoized,
-    linearity-extended, or zero by the halting certificate; tuples beyond
-    the computed window raise UnresolvableValue.
-    """
-
-    def __init__(self, record: AInfinityRecord):
-        self.record = record
-        self.algebra = record.algebra
-
-    @property
-    def p(self) -> int:
-        return self.algebra.p
-
-    def product(self, key) -> HomologyClass:
-        return self.record.resolve_product(tuple(key))
-
-    def map(self, key) -> GradedEndomorphism:
-        return self.record.resolve_map(tuple(key))
-
-    def section(self, value: HomologyClass) -> GradedEndomorphism:
-        return self.record.f1_of_class(value)
-
-
-def check_structure(table: StructureTable, n: int, key) -> HomologyClass:
+def check_structure(record: AInfinityRecord, n: int, key) -> HomologyClass:
     """Exact residual of the arity-n structure identity on the tuple.
 
     Terms with an inner or outer m_1 vanish because the structure is
@@ -74,29 +48,30 @@ def check_structure(table: StructureTable, n: int, key) -> HomologyClass:
     key = tuple(key)
     if len(key) != n:
         raise InvalidParameter(f"tuple has length {len(key)}, expected {n}")
+    p = record.algebra.p
     degrees = [monomial_degree(m) for m in key]
     residual_degree = sum(degrees) + 3 - n
     residual = HomologyClass(residual_degree, (0,) if residual_degree >= 0 else ())
     for s in range(2, n):
         for r in range(0, n - s + 1):
             t = n - s - r
-            inner = table.product(key[r:r + s])
+            inner = record.resolve_product(key[r:r + s])
             if inner.is_zero():
                 continue
             if len(inner.coords) != 1:
                 raise InvalidParameter("inner class degree is not one-dimensional")
             mono = monomial_of_degree(inner.degree)
             outer = key[:r] + (mono,) + key[r + s:]
-            value = table.product(outer)
+            value = record.resolve_product(outer)
             if value.is_zero():
                 continue
             exponent = r + s * t + (2 - s) * sum(degrees[:r])
             sign = (-1 if exponent % 2 else 1) * inner.coords[0]
-            residual = residual.add(value.scale(sign, table.p), table.p)
+            residual = residual.add(value.scale(sign, p), p)
     return residual
 
 
-def check_morphism(table: StructureTable, n: int, key) -> GradedEndomorphism:
+def check_morphism(record: AInfinityRecord, n: int, key) -> GradedEndomorphism:
     """Exact residual of the arity-n morphism identity on the tuple.
 
     The right-hand side uses the dg-algebra operations only: m_1 is the
@@ -106,25 +81,25 @@ def check_morphism(table: StructureTable, n: int, key) -> GradedEndomorphism:
     key = tuple(key)
     if len(key) != n:
         raise InvalidParameter(f"tuple has length {len(key)}, expected {n}")
-    algebra = table.algebra
+    algebra = record.algebra
     degrees = [monomial_degree(m) for m in key]
     residual_degree = sum(degrees) + 2 - n
     total = algebra.zero(max(residual_degree, 0))
 
     if n == 1:
-        f1 = table.map(key)
+        f1 = record.resolve_map(key)
         return algebra.differential(f1).scale(-1)
 
     # insertion side: f_(n-s+1)(id^r (x) m_s (x) id^t) for interior s
     for s in range(2, n):
         for r in range(0, n - s + 1):
             t = n - s - r
-            inner = table.product(key[r:r + s])
+            inner = record.resolve_product(key[r:r + s])
             if inner.is_zero():
                 continue
             mono = monomial_of_degree(inner.degree)
             outer = key[:r] + (mono,) + key[r + s:]
-            value = table.map(outer)
+            value = record.resolve_map(outer)
             if value.is_zero():
                 continue
             exponent = r + s * t + (2 - s) * sum(degrees[:r])
@@ -132,18 +107,18 @@ def check_morphism(table: StructureTable, n: int, key) -> GradedEndomorphism:
             total = total + value.scale(sign)
 
     # the two isolated terms: f_1(m_n) and the differential of f_n
-    full = table.product(key)
+    full = record.resolve_product(key)
     if not full.is_zero():
-        total = total - table.section(full)
-    fn = table.map(key)
+        total = total - record.f1_of_class(full)
+    fn = record.resolve_map(key)
     if not fn.is_zero():
         total = total - algebra.differential(fn)
 
     # composition side: m_2(f_s (x) f_(n-s)) with w = s - 1
     kappa = -1 if n == 2 else 1
     for s in range(1, n):
-        left = table.map(key[:s])
-        right = table.map(key[s:])
+        left = record.resolve_map(key[:s])
+        right = record.resolve_map(key[s:])
         if left.is_zero() or right.is_zero():
             continue
         exponent = (s - 1) + (1 - (n - s)) * sum(degrees[:s])
@@ -189,14 +164,13 @@ def verify_structure(record: AInfinityRecord, max_arity: int | None = None,
 
     Stops at the first failure and reports its (arity, tuple, position).
     """
-    table = StructureTable(record)
     if max_arity is None:
         max_arity = 2 * record.algebra.q
     checked = 0
     for n in range(1, max_arity + 1):
         for key in (keys(n) if keys is not None else [(X,) * n]):
             if n >= 2:
-                residual = check_structure(table, n, key)
+                residual = check_structure(record, n, key)
                 checked += 1
                 if not residual.is_zero():
                     return VerificationReport(
@@ -204,7 +178,7 @@ def verify_structure(record: AInfinityRecord, max_arity: int | None = None,
                         VerificationFailure("structure", n, key,
                                             f"degree {residual.degree}"),
                         convention_hint=_hint(record))
-            residual = check_morphism(table, n, key)
+            residual = check_morphism(record, n, key)
             checked += 1
             if not residual.is_zero():
                 position = min(residual.components)

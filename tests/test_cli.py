@@ -1,14 +1,18 @@
 """Command-line driver: runs, serialization round-trips, queries."""
 
+import functools
 import hashlib
+import itertools
 import json
+import re
 
 import pytest
 
 from ainfinity.cli import (RunConfig, default_truncation, dump_structure,
                            main, parse_element, parse_structure, run,
                            run_query, split_query)
-from ainfinity.errors import InvalidParameter
+from ainfinity.errors import InvalidParameter, UnresolvableValue
+from ainfinity.kadeishvili import UNIT
 
 
 @pytest.fixture(scope="module")
@@ -98,14 +102,69 @@ GOLDEN_DIGESTS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def sweep_run(p, q, mode, f1_mode):
+    """`run` at max_arity 2q with --verify; one per sweep point and mode,
+    shared by the tests below.  The document is built inside `run`, so
+    values resolved later (brute mode memoizes on demand) never reach it."""
+    return run(RunConfig(p=p, q=q, max_arity=2 * q, mode=mode,
+                         f1_mode=f1_mode, verify=True))
+
+
 @pytest.mark.parametrize("p,q,mode,f1_mode", sorted(GOLDEN_DIGESTS))
 def test_golden_structure_digest(p, q, mode, f1_mode):
-    result = run(RunConfig(p=p, q=q, max_arity=2 * q, mode=mode,
-                           f1_mode=f1_mode, verify=True))
+    result = sweep_run(p, q, mode, f1_mode)
     assert result.exit_code == 0
     text = dump_structure(result.document)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == GOLDEN_DIGESTS[(p, q, mode, f1_mode)]
+
+
+_SLOT_DEGREES = {"1": 0, "x": 1, "y": 2, "y*x": 3, "y^2": 4, "y^2*x": 5}
+_POSITION_RE = re.compile(r"^\s*position (\d+)(?: \(mod \d+\))?: (.*)$")
+
+
+def agreement_tuples(q):
+    """Every tuple over the slots of arity <= 4 and degree <= 6, plus the
+    pure-x tuples up to arity 2q+1 (past the halting arity)."""
+    tuples = [t for n in range(1, 5)
+              for t in itertools.product(_SLOT_DEGREES, repeat=n)
+              if sum(_SLOT_DEGREES[s] for s in t) <= 6]
+    return tuples + [("x",) * n for n in range(5, 2 * q + 2)]
+
+
+@pytest.mark.parametrize("p,q,mode,f1_mode", sorted(GOLDEN_DIGESTS))
+def test_record_and_its_file_agree(p, q, mode, f1_mode):
+    # the file reader and the record resolve through the same rules; this
+    # pins their realisations (stored entries and degree shifts against
+    # memo values, y-cocycle compositions and brute computations)
+    result = sweep_run(p, q, mode, f1_mode)
+    record, doc = result.record, result.document
+    period = doc["header"]["period"]
+    for names in agreement_tuples(q):
+        expr = ", ".join(names)
+        slots = [parse_element(name, p) for name in names]
+        want = str(record.extend_linear(slots)[0])
+        assert run_query("product: " + expr, doc) == [want], expr
+        if len(names) < 2:
+            continue
+        key = tuple(next(iter(s.terms)) for s in slots)
+        shifted = (UNIT not in key and all(e for e, _ in key)
+                   and any(j for _, j in key) and len(key) < record.halted_at)
+        if f1_mode == "auto" and shifted:
+            with pytest.raises(UnresolvableValue):
+                run_query("map: " + expr, doc)
+            continue
+        lines = run_query("map: " + expr, doc)
+        value = record.resolve_map(key)
+        if lines == ["0 (zero map)"]:
+            assert value.is_zero(), expr
+            continue
+        assert re.match(r"^degree (\d+)", lines[0]).group(1) == str(value.degree), expr
+        got = [(int(m.group(1)), json.loads(m.group(2)))
+               for m in map(_POSITION_RE.match, lines[2:2 + period])]
+        assert got == [(value.degree + i, value.component(value.degree + i).entries.tolist())
+                       for i in range(period)], expr
 
 
 class TestElementParsing:
@@ -167,9 +226,14 @@ class TestQueries:
 
     def test_open_status_blocks_high_arities(self):
         doc = run(RunConfig(p=2, q=4, max_arity=3)).document
-        from ainfinity.errors import UnresolvableValue
         with pytest.raises(UnresolvableValue):
             run_query("product: x,x,x,x,x", doc)
+
+    def test_map_queries_start_at_arity_two(self, golden_run):
+        # f_1 is the representative cocycle, which files do not store
+        for expr in ("map: x", "map: y*x", "map: 1"):
+            with pytest.raises(InvalidParameter, match="arity 2"):
+                run_query(expr, golden_run.document)
 
 
 class TestMain:
@@ -193,6 +257,21 @@ class TestMain:
                      "--truncation", "5"]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "arity" in err
+
+    def test_undecodable_structure_file_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "structure.json"
+        out.write_text("not json {")
+        assert main(["--query", "product: x,x,x", "--output", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_header_without_p_exit_one(self, tmp_path, capsys, golden_run):
+        doc = json.loads(dump_structure(golden_run.document))
+        del doc["header"]["p"]
+        out = tmp_path / "structure.json"
+        out.write_text(json.dumps(doc))
+        assert main(["--query", "product: x,x,x", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "'p'" in err
 
     def test_missing_required_flags(self, capsys):
         assert main(["--query", "product: x,x"]) == 1
