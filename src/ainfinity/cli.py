@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .endo_dga import EndomorphismAlgebra
 from .errors import AInfinityError, InvalidParameter, UnresolvableValue
+from .ff_linalg import is_prime
 from .kadeishvili import (AInfinityRecord, HElement, StructureSummary, UNIT,
                           X, locate, monomial_degree, monomial_name,
                           monomial_of_degree, monomial_terms, ring_product)
@@ -41,7 +42,6 @@ class RunConfig:
     f1_mode: str = "paper"         # "paper" | "auto"
     truncation: int | None = None
     verify: bool = False
-    output: str | None = None
 
     def internal_mode(self) -> str:
         return "brute" if self.mode == "brute-force" else "reduced"
@@ -120,27 +120,13 @@ def split_query(expr: str) -> tuple[str, list[str]]:
     return kind, slots
 
 
-def format_element(el: HElement) -> str:
-    return str(el)
-
-
-def format_class(degree: int, coeff: int) -> str:
-    if coeff == 0:
-        return "0"
-    name = monomial_name(monomial_of_degree(degree))
-    if name == "1":
-        return str(coeff)
-    return name if coeff == 1 else f"{coeff}*{name}"
-
-
 # ----- serialization --------------------------------------------------------------
 
 def _monomial_listing(record: AInfinityRecord) -> list:
     monos = {UNIT, X, (0, 1)}
     for key in list(record.m_table) + list(record.f_table):
         monos.update(key)
-    ordered = sorted(monos, key=lambda m: (monomial_degree(m), m[0], m[1]))
-    return ordered
+    return sorted(monos, key=lambda m: (monomial_degree(m), m[0], m[1]))
 
 
 def serialize_structure(record: AInfinityRecord, summary: StructureSummary,
@@ -216,22 +202,66 @@ def dump_structure(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
+def _bad(what: str, value):
+    raise InvalidParameter(f"structure file has a missing or bad {what}: {value!r}")
+
+
+# the fields the query reader uses on each product and map entry besides
+# `inputs`; component numbers themselves are not checked
+_ENTRY_FIELDS = {"products": {"degree": int, "coords": list},
+                 "maps": {"degree": int, "period": int, "base": int, "components": list}}
+
+
 def parse_structure(text: str) -> dict:
+    """Parse a structure file; any field the query reader uses that is
+    missing or mistyped raises InvalidParameter naming it."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidParameter(f"structure file is not JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise InvalidParameter(f"not a {FORMAT_NAME} document")
-    for section in ("header", "basis", "products", "maps"):
-        if section not in doc:
-            raise InvalidParameter(f"structure file is missing {section!r}")
-    header = doc["header"]
-    if not isinstance(header, dict):
-        raise InvalidParameter("structure file header is not an object")
-    for field in ("p", "q", "f1", "halting"):
-        if field not in header:
-            raise InvalidParameter(f"structure file header is missing {field!r}")
+    # JSON numbers decode to exact ints, so `type(v) is int` also rules out
+    # true/false and floats
+    header = doc.get("header")
+    if type(header) is not dict:
+        _bad("'header' (not an object)", header)
+    p, q, f1, halting = (header.get(k) for k in ("p", "q", "f1", "halting"))
+    if not (type(p) is int and is_prime(p)):
+        _bad("header 'p' (not a prime)", p)
+    if not (type(q) is int and q >= 3):
+        _bad("header 'q' (not an integer >= 3)", q)
+    if f1 not in ("paper", "auto"):
+        _bad("header 'f1' (not 'paper' or 'auto')", f1)
+    status = halting.get("status") if type(halting) is dict else None
+    if not (status == "open" or status == "complete" and type(halting.get("arity")) is int):
+        _bad("header 'halting' (status 'open', or 'complete' with an arity)", halting)
+    basis = doc.get("basis")
+    if type(basis) is not list:
+        _bad("'basis' (not a list)", type(basis).__name__)
+    for b in basis:
+        if not (type(b) is dict and type(b.get("index")) is int
+                and type(b.get("eps")) is int and b["eps"] in (0, 1)
+                and type(b.get("ypow")) is int and b["ypow"] >= 0):
+            _bad("'basis' entry (an integer 'index', 'eps' in {0, 1}, 'ypow' >= 0)", b)
+    indices = sorted(b["index"] for b in basis)
+    if indices != list(range(len(basis))):
+        _bad("'basis' index list", indices)
+    indices = set(indices)
+    for section, fields in _ENTRY_FIELDS.items():
+        entries = doc.get(section)
+        if type(entries) is not list:
+            _bad(f"{section!r} (not a list)", type(entries).__name__)
+        for entry in entries:
+            if type(entry) is not dict:
+                _bad(f"{section!r} entry", entry)
+            inputs = entry.get("inputs")
+            if not (type(inputs) is list and set(map(type, inputs)) <= {int}
+                    and indices.issuperset(inputs)):
+                _bad(f"{section!r} entry 'inputs' (indices into the basis)", inputs)
+            for field, kind in fields.items():
+                if type(entry.get(field)) is not kind:
+                    _bad(f"{section!r} entry {field!r} (a {kind.__name__})", entry.get(field))
     return doc
 
 
@@ -250,14 +280,13 @@ class DocTable:
         self.q = doc["header"]["q"]
         self.monos = [(b["eps"], b["ypow"]) for b in
                       sorted(doc["basis"], key=lambda b: b["index"])]
-        self.products = {}
-        for entry in doc["products"]:
-            self.products[tuple(self.monos[i] for i in entry["inputs"])] = entry
-        self.maps = {}
-        for entry in doc["maps"]:
-            self.maps[tuple(self.monos[i] for i in entry["inputs"])] = entry
+        self.products = self._keyed(doc["products"])
+        self.maps = self._keyed(doc["maps"])
         halting = doc["header"]["halting"]
         self.halted_at = halting.get("arity") if halting["status"] == "complete" else None
+
+    def _keyed(self, entries: list) -> dict:
+        return {tuple(self.monos[i] for i in entry["inputs"]): entry for entry in entries}
 
     def _stored(self, table: dict, key: tuple):
         """(stored entry, y-power) realizing the value on the tuple, or
@@ -335,19 +364,18 @@ def run(config: RunConfig) -> RunResult:
     report = verify_structure(record, config.max_arity) if config.verify else None
     doc = serialize_structure(record, summary, report, config)
 
-    lines = []
-    lines.append(
+    lines = [
         f"A-infinity structure over F_{summary.p}[a]/(a^{summary.q}): "
-        f"cohomology ring = exterior(x) (x) k[y], |x|=1, |y|=2")
-    lines.append(
+        f"cohomology ring = exterior(x) (x) k[y], |x|=1, |y|=2",
         f"mode={config.mode} f1={summary.f1_mode} truncation L={summary.truncation} "
-        f"arities 2..{max(summary.computed_arities, default=0)}")
-    lines.append("m_2 = ring product; nonzero higher products on basis tuples:")
+        f"arities 2..{max(summary.computed_arities, default=0)}",
+        "m_2 = ring product; nonzero higher products on basis tuples:",
+    ]
     higher = [(k, v) for k, v in summary.nonzero_products if len(k) > 2]
     if higher:
         for key, value in higher:
             tup = ",".join(monomial_name(m) for m in key)
-            lines.append(f"  m_{len(key)}({tup}) = {format_class(value.degree, value.coords[0])}")
+            lines.append(f"  m_{len(key)}({tup}) = {HElement.from_class(summary.p, value)}")
     else:
         lines.append("  (none)")
     lines.append("nonzero quasi-isomorphism components on basis tuples:")
@@ -378,7 +406,7 @@ def run_query(expr: str, doc: dict) -> list:
     slots = [parse_element(s, table.p) for s in raw_slots]
     if kind == "product":
         value = table.product_element(slots)
-        return [f"{format_element(value)}"]
+        return [str(value)]
     for s in slots:
         if len(s.terms) != 1 or next(iter(s.terms.values())) != 1:
             raise InvalidParameter(
@@ -420,7 +448,11 @@ def main(argv=None) -> int:
     try:
         if args.query is not None:
             if args.output and Path(args.output).exists():
-                doc = parse_structure(Path(args.output).read_text())
+                try:
+                    text = Path(args.output).read_text()
+                except (OSError, UnicodeDecodeError) as exc:
+                    raise InvalidParameter(f"cannot read {args.output}: {exc}") from None
+                doc = parse_structure(text)
             else:
                 if args.p is None or args.q is None:
                     raise InvalidParameter(
@@ -436,7 +468,10 @@ def main(argv=None) -> int:
         for line in result.lines:
             print(line)
         if args.output:
-            Path(args.output).write_text(dump_structure(result.document))
+            try:
+                Path(args.output).write_text(dump_structure(result.document))
+            except OSError as exc:
+                raise InvalidParameter(f"cannot write {args.output}: {exc}") from None
             print(f"wrote structure file: {args.output}")
         return result.exit_code
     except AInfinityError as exc:
@@ -450,7 +485,7 @@ def _config_from(args) -> RunConfig:
     max_arity = args.max_arity if args.max_arity is not None else 2 * args.q
     return RunConfig(p=args.p, q=args.q, max_arity=max_arity, mode=args.mode,
                      f1_mode=args.f1, truncation=args.truncation,
-                     verify=args.verify, output=args.output)
+                     verify=args.verify)
 
 
 if __name__ == "__main__":

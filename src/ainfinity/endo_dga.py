@@ -667,14 +667,13 @@ class EndomorphismAlgebra:
                 self._homotopy_ops[key] = ops
         return ops
 
-    def periodic_compact(self, f: GradedEndomorphism, period: int | None = None) -> CompactForm:
-        """Compress f to one period of components, or raise NotPeriodic.
+    def periodic_compact(self, f: GradedEndomorphism) -> CompactForm:
+        """Compress f to one period of the resolution, or raise NotPeriodic.
 
         Requires at least two periods of positions in the window; succeeds
         exactly when f_(n + period) = f_n for every comparable position.
         """
-        if period is None:
-            period = self.resolution.period
+        period = self.resolution.period
         L = self.resolution.length
         base = f.degree
         if L - base + 1 < 2 * period:

@@ -38,14 +38,14 @@ class PsiNotCycle(AInfinityError):
 
 
 class CertificateMissing(AInfinityError):
-    """Linear extension was requested without a valid periodicity or
-    commutation certificate for the arities involved."""
+    """Linear extension was requested for an arity without a periodicity
+    certificate, which is what licenses it."""
 
 
 class CommutationFailure(AInfinityError):
-    """A freshly computed map component stopped commuting with the
-    distinguished polynomial-class cocycle; the run cannot continue
-    under the reduction."""
+    """A stored map does not commute with the polynomial-class cocycle
+    (it does not repeat with the period), or that cocycle is not the
+    identity shift; the run cannot continue under the reduction."""
 
 
 class UnresolvableValue(AInfinityError):

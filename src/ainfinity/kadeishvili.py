@@ -22,9 +22,11 @@ cyclic family, with y the distinguished polynomial class z.  Two
 reductions keep the computation finite:
 
 * polynomial-class linearity: values on tuples with y-powers are the
-  basis values composed with powers of the y-cocycle (guarded by the
-  per-arity commutation check, with periodicity certificates enabling
-  the compact representation);
+  basis values composed with powers of the y-cocycle zeta.  This needs
+  every stored f_n to commute with zeta, and the per-arity periodicity
+  certificate is that check: once zeta is known to be the identity shift
+  (checked once per record), (zeta o f)_n = f_n and (f o zeta)_n = f_(n-2),
+  so commutation is exactly f_n = f_(n+2) on the window;
 * the halting window: once m_k and f_k vanish for t <= k <= 2t - 2,
   every higher arity is zero.
 
@@ -243,13 +245,6 @@ class PeriodicityCertificate:
     compacts: dict  # key -> CompactForm
 
 
-@dataclass(frozen=True)
-class CertificationFailure:
-    arity: int
-    key: tuple | None
-    reason: str
-
-
 def first_complete_arity(flags: dict, computed) -> int | None:
     """Smallest t whose whole window [t, 2t-2] is computed with zero flags.
 
@@ -297,9 +292,9 @@ class AInfinityRecord:
     value satisfies D f = Psi - f_1(m) exactly (`recheck` re-verifies).
 
     Arities are strictly stratified: arity n reads only arities below n,
-    so tuples within one arity are independent of each other, and the
-    commutation check, certification and halting transitions all happen
-    at the arity boundary.
+    so tuples within one arity are independent of each other, and
+    certification and halting transitions both happen at the arity
+    boundary.
     """
 
     def __init__(self, algebra: EndomorphismAlgebra, mode: str = "reduced"):
@@ -312,8 +307,6 @@ class AInfinityRecord:
         self.zero_flags: dict[int, bool] = {}
         self.computed_arities: set[int] = set()
         self.certificates: dict[int, PeriodicityCertificate] = {}
-        self.certification_failures: dict[int, CertificationFailure] = {}
-        self.commutation_ok: dict[int, bool] = {}
         self.halted_at: int | None = None
 
     # -- the cycle-choosing section ---------------------------------------------
@@ -353,11 +346,10 @@ class AInfinityRecord:
         return self.algebra.zero(max(degree, 0))
 
     def _check_extension_allowed(self, arity: int):
-        if arity in self.certificates or self.commutation_ok.get(arity):
-            return
-        raise CertificateMissing(
-            f"arity {arity} has neither a periodicity certificate nor a verified "
-            "commutation identity; linear extension is not justified")
+        if arity not in self.certificates:
+            raise CertificateMissing(
+                f"arity {arity} has no periodicity certificate; linear extension "
+                "is not justified")
 
     def _located(self, table: dict, key: tuple, which: int):
         """(stored value, y-power) that `locate` points to, or None for zero;
@@ -474,9 +466,6 @@ class AInfinityRecord:
     def _key_name(self, key) -> str:
         return "(" + ", ".join(monomial_name(m) for m in key) + ")"
 
-    def _frontier_keys(self, arity: int) -> list:
-        return [(X,) * arity]
-
     def compute_arity(self, arity: int):
         if arity < 2:
             raise InvalidParameter("arities start at 2")
@@ -487,76 +476,53 @@ class AInfinityRecord:
             self.zero_flags[arity] = True
             return
         try:
-            for key in self._frontier_keys(arity):
-                self._compute_pair(key)
+            product, value = self._compute_pair((X,) * arity)
         except TruncationTooShort as exc:
             raise TruncationTooShort(f"while computing arity {arity}: {exc}") from None
         self.computed_arities.add(arity)
-        self._update_flags(arity)
+        # the pure-x pair is the only stored value of the arity so far (brute
+        # mode reaches other tuples of an arity only once it is computed)
+        self.zero_flags[arity] = product.is_zero() and value.is_zero()
         if self.mode == "reduced":
-            self._check_commutation(arity)
             self._certify(arity)
         self.halted_at = first_complete_arity(self.zero_flags, self.computed_arities)
 
-    def _update_flags(self, arity: int):
-        zero = True
-        for key, cls in self.m_table.items():
-            if len(key) == arity and not cls.is_zero():
-                zero = False
-        for key, val in self.f_table.items():
-            if len(key) == arity and not val.is_zero():
-                zero = False
-        self.zero_flags[arity] = zero
-
-    def _check_commutation(self, arity: int):
-        """Verified commutation of the y-cocycle with the stored values (the
-        inductive hypothesis of the linearity theorem); failure aborts."""
-        zeta = self.zeta_power(1)
-        for key, value in self.f_table.items():
-            if len(key) != arity:
-                continue
-            left = self.algebra.compose(zeta, value)
-            right = self.algebra.compose(value, zeta)
-            if left != right:
-                raise CommutationFailure(
-                    f"f_{arity}{self._key_name(key)} does not commute with the "
-                    "polynomial-class cocycle; the linear reduction is invalid "
-                    "for this run (rerun in brute mode)")
-        self.commutation_ok[arity] = True
-
     def _certify(self, arity: int):
-        period = self.algebra.resolution.period
-        zeta = self.zeta_power(1)
-        for n in zeta.position_range():
-            entry = zeta.component(n)
-            if entry != AlgebraMap.identity(entry.algebra, entry.target_rank):
-                self.certification_failures[arity] = CertificationFailure(
-                    arity, None, f"distinguished cocycle is not the identity at {n}")
-                return
+        """Compact every stored arity-n map to one period.  With zeta the
+        identity shift, this is the check that each commutes with zeta (see
+        the module docstring): a zeta that is not the identity shift, or a
+        map that does not repeat, raises CommutationFailure."""
+        if not self.certificates:  # once per record: every certificate rests on it
+            zeta = self.zeta_power(1)
+            for n in zeta.position_range():
+                entry = zeta.component(n)
+                if entry != AlgebraMap.identity(entry.algebra, entry.target_rank):
+                    raise CommutationFailure(
+                        "the polynomial-class cocycle is not the identity at position "
+                        f"{n}; the linear reduction is invalid (rerun in brute mode)")
         compacts = {}
         for key, value in self.f_table.items():
             if len(key) != arity:
                 continue
             try:
-                compacts[key] = self.algebra.periodic_compact(value, period)
-            except (NotPeriodic, TruncationTooShort) as exc:
-                self.certification_failures[arity] = CertificationFailure(
-                    arity, key, str(exc))
-                return
-        self.certificates[arity] = PeriodicityCertificate(arity, period, compacts)
+                compacts[key] = self.algebra.periodic_compact(value)
+            except NotPeriodic as exc:
+                raise CommutationFailure(
+                    f"f_{arity}{self._key_name(key)} does not commute with the "
+                    f"polynomial-class cocycle ({exc}); the linear reduction is "
+                    "invalid for this run (rerun in brute mode)") from None
+        self.certificates[arity] = PeriodicityCertificate(
+            arity, self.algebra.resolution.period, compacts)
 
-    def certify_periodicity(self, arity: int):
-        """Certificate for the arity, or the recorded failure (the run then
-        stays on the full truncation; extension remains valid through the
-        commutation identity alone)."""
+    def certify_periodicity(self, arity: int) -> PeriodicityCertificate:
+        """The arity's periodicity certificate.  Reduced mode certifies each
+        arity as it computes it; brute mode does not, and certifies on demand
+        here (raising CommutationFailure as `_certify` does)."""
         if arity not in self.computed_arities:
             raise UnresolvableValue(f"arity {arity} has not been computed")
-        if arity in self.certificates:
-            return self.certificates[arity]
-        if arity in self.certification_failures:
-            return self.certification_failures[arity]
-        self._certify(arity)
-        return self.certificates.get(arity) or self.certification_failures[arity]
+        if arity not in self.certificates:
+            self._certify(arity)
+        return self.certificates[arity]
 
     def extend_linear(self, elements) -> tuple:
         """(m value, f value) on a tuple of ring elements, by multilinear
@@ -566,12 +532,9 @@ class AInfinityRecord:
         combination, the map as a single endomorphism.
         """
         p = self.algebra.p
-        slots = []
-        for el in elements:
-            slots.append(self._as_element(el))
-        for slot in slots:
-            if len(slot.degrees()) > 1:
-                raise InvalidParameter("linear extension needs homogeneous slots")
+        slots = [self._as_element(el) for el in elements]
+        if any(len(slot.degrees()) > 1 for slot in slots):
+            raise InvalidParameter("linear extension needs homogeneous slots")
         n = len(slots)
         degree_sum = sum(next(iter(s.degrees()), 0) for s in slots)
         m_acc = HElement(p)
@@ -604,7 +567,7 @@ class AInfinityRecord:
 
     def compute_structure(self, max_arity: int) -> StructureSummary:
         """Populate the tables through `max_arity` (or the halting arity),
-        certifying and checking after each arity."""
+        certifying each arity in reduced mode."""
         if max_arity < 2:
             raise InvalidParameter("max arity must be at least 2")
         start = time.perf_counter()

@@ -158,9 +158,9 @@ class VerificationReport:
         return msg
 
 
-def verify_structure(record: AInfinityRecord, max_arity: int | None = None,
-                     keys=None) -> VerificationReport:
-    """Run both identity families on unit-free basis tuples up to max_arity.
+def verify_structure(record: AInfinityRecord,
+                     max_arity: int | None = None) -> VerificationReport:
+    """Run both identity families on the tuples (x, ..., x) up to max_arity.
 
     Stops at the first failure and reports its (arity, tuple, position).
     """
@@ -168,24 +168,24 @@ def verify_structure(record: AInfinityRecord, max_arity: int | None = None,
         max_arity = 2 * record.algebra.q
     checked = 0
     for n in range(1, max_arity + 1):
-        for key in (keys(n) if keys is not None else [(X,) * n]):
-            if n >= 2:
-                residual = check_structure(record, n, key)
-                checked += 1
-                if not residual.is_zero():
-                    return VerificationReport(
-                        max_arity, checked, False,
-                        VerificationFailure("structure", n, key,
-                                            f"degree {residual.degree}"),
-                        convention_hint=_hint(record))
-            residual = check_morphism(record, n, key)
+        key = (X,) * n
+        if n >= 2:
+            residual = check_structure(record, n, key)
             checked += 1
             if not residual.is_zero():
-                position = min(residual.components)
                 return VerificationReport(
                     max_arity, checked, False,
-                    VerificationFailure("morphism", n, key, position),
+                    VerificationFailure("structure", n, key,
+                                        f"degree {residual.degree}"),
                     convention_hint=_hint(record))
+        residual = check_morphism(record, n, key)
+        checked += 1
+        if not residual.is_zero():
+            position = min(residual.components)
+            return VerificationReport(
+                max_arity, checked, False,
+                VerificationFailure("morphism", n, key, position),
+                convention_hint=_hint(record))
     return VerificationReport(max_arity, checked, True, None)
 
 

@@ -7,6 +7,9 @@ from ainfinity.endo_dga import EndomorphismAlgebra
 from ainfinity.kadeishvili import AInfinityRecord
 from ainfinity.resolution import build_cyclic_resolution
 
+# the acceptance sweep of (p, q) points
+SWEEP = [(2, 4), (2, 8), (3, 3), (3, 9), (5, 5)]
+
 _CACHE = {}
 
 

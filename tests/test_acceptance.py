@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import computed_record
+from conftest import SWEEP, computed_record
 from ainfinity.cli import default_truncation
 from ainfinity.endo_dga import EndomorphismAlgebra, HomologyClass
 from ainfinity.kadeishvili import (AInfinityRecord, UNIT, X,
@@ -18,8 +18,6 @@ from ainfinity.kadeishvili import (AInfinityRecord, UNIT, X,
                                    split_sign)
 from ainfinity.resolution import build_cyclic_resolution
 from ainfinity.stasheff import verify_structure
-
-SWEEP = [(2, 4), (2, 8), (3, 3), (3, 9), (5, 5)]
 
 # recorded sign of m_q(x, ..., x) per sweep point: +1 always in
 # characteristic two; the odd-characteristic signs below are the values
@@ -128,17 +126,23 @@ class TestCriterion3:
 
 class TestCriterion4:
     def test_oracle_equivalence(self):
+        # every sweep point at the default window through arity 2q: products
+        # on every key either mode stored, and maps on every tuple the brute
+        # recursion reached, which for y-multiplied tuples are the values the
+        # reduced mode's certificates license it to extend linearly
         start = time.perf_counter()
-        for p, q in [(2, 4), (3, 3)]:
-            reduced, _ = computed_record(p, q, max_arity=6, truncation=44)
-            brute, _ = computed_record(p, q, max_arity=6, truncation=44,
-                                       mode="brute")
-            keys = set(reduced.m_table) | set(brute.m_table)
+        for p, q in SWEEP:
+            reduced, _ = computed_record(p, q)
+            brute, _ = computed_record(p, q, mode="brute")
             assert any(any(m != X for m in k) for k in brute.m_table), \
                 "brute mode must exercise y-multiplied tuples"
+            keys = set(reduced.m_table) | set(brute.m_table)
             for key in sorted(keys, key=lambda k: (len(k), k)):
                 assert reduced.resolve_product(key) == brute.resolve_product(key), \
                     f"m mismatch on {key} at (p={p}, q={q})"
+            for key in sorted(brute.f_table, key=lambda k: (len(k), k)):
+                assert reduced.resolve_map(key) == brute.resolve_map(key), \
+                    f"f mismatch on {key} at (p={p}, q={q})"
         elapsed = time.perf_counter() - start
         report("criterion 4: brute-force oracle equivalence", True,
                f"{elapsed:.2f}s")

@@ -276,3 +276,88 @@ class TestMain:
     def test_missing_required_flags(self, capsys):
         assert main(["--query", "product: x,x"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def _query_bad_file(self, tmp_path, capsys, golden_run, mutate) -> str:
+        doc = json.loads(dump_structure(golden_run.document))
+        mutate(doc)
+        out = tmp_path / "structure.json"
+        out.write_text(json.dumps(doc))
+        assert main(["--query", "product: x,x,x", "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error:")
+        return captured.err
+
+    def test_empty_halting_exit_one(self, tmp_path, capsys, golden_run):
+        def mutate(doc):
+            doc["header"]["halting"] = {}
+        err = self._query_bad_file(tmp_path, capsys, golden_run, mutate)
+        assert "'halting'" in err
+
+    def test_basis_entry_without_eps_exit_one(self, tmp_path, capsys, golden_run):
+        def mutate(doc):
+            del doc["basis"][1]["eps"]
+        err = self._query_bad_file(tmp_path, capsys, golden_run, mutate)
+        assert "'basis'" in err and "'eps'" in err
+
+    def test_inputs_outside_basis_exit_one(self, tmp_path, capsys, golden_run):
+        def mutate(doc):
+            doc["products"][0]["inputs"][0] = len(doc["basis"])
+        err = self._query_bad_file(tmp_path, capsys, golden_run, mutate)
+        assert "'products'" in err and "'inputs'" in err
+
+    def test_composite_p_exit_one(self, tmp_path, capsys, golden_run):
+        def mutate(doc):
+            doc["header"]["p"] = 4
+        err = self._query_bad_file(tmp_path, capsys, golden_run, mutate)
+        assert "'p'" in err
+
+    def test_query_on_a_directory_exit_one(self, tmp_path, capsys):
+        assert main(["--query", "product: x,x,x", "--output", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_undecodable_bytes_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "structure.json"
+        out.write_bytes(b"\xff\xfe{not text")
+        assert main(["--query", "product: x,x,x", "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_unwritable_output_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "dir" / "s.json"
+        assert main(["--p", "2", "--q", "4", "--max-arity", "3",
+                     "--output", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("p", 4), ("p", "2"), ("p", True), ("q", 2), ("q", 4.0), ("f1", "pinned"),
+    ("halting", {"status": "complete"}), ("halting", {"status": "complete", "arity": "5"}),
+    ("halting", {"status": "done"}), ("halting", "open"),
+])
+def test_parse_structure_rejects_bad_header(golden_run, field, value):
+    doc = json.loads(dump_structure(golden_run.document))
+    doc["header"][field] = value
+    with pytest.raises(InvalidParameter, match=repr(field)):
+        parse_structure(json.dumps(doc))
+
+
+@pytest.mark.parametrize("section,field,value", [
+    ("basis", "index", "0"), ("basis", "eps", 2), ("basis", "eps", True),
+    ("basis", "ypow", -1), ("basis", "index", 7),
+    ("products", "inputs", [-1]), ("products", "inputs", 1), ("products", "degree", None),
+    ("products", "coords", 1),
+    ("maps", "inputs", [0, 99]), ("maps", "period", "2"), ("maps", "base", None),
+    ("maps", "components", {}), ("maps", "degree", 1.0),
+])
+def test_parse_structure_rejects_bad_entry(golden_run, section, field, value):
+    doc = json.loads(dump_structure(golden_run.document))
+    doc[section][0][field] = value
+    with pytest.raises(InvalidParameter, match=repr(section)):
+        parse_structure(json.dumps(doc))
+
+
+def test_parse_structure_accepts_every_sweep_file():
+    for key in GOLDEN_DIGESTS:
+        doc = sweep_run(*key).document
+        assert parse_structure(dump_structure(doc)) == doc

@@ -5,16 +5,17 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import computed_record
+from conftest import SWEEP, computed_record
+from ainfinity.cli import default_truncation
 from ainfinity.endo_dga import EndomorphismAlgebra
 from ainfinity.errors import (CertificateMissing, CommutationFailure,
                               DimensionMismatch, InvalidParameter)
-from ainfinity.kadeishvili import (AInfinityRecord, CertificationFailure,
-                                   HElement, PeriodicityCertificate, UNIT, X,
-                                   Y, first_complete_arity, insertion_sign,
+from ainfinity.kadeishvili import (AInfinityRecord, HElement,
+                                   PeriodicityCertificate, UNIT, X, Y,
+                                   first_complete_arity, insertion_sign,
                                    monomial_degree, obstruction_terms,
                                    split_sign)
-from ainfinity.resolution import build_cyclic_resolution
+from ainfinity.resolution import AlgebraMap, build_cyclic_resolution
 
 
 class TestSigns:
@@ -174,17 +175,15 @@ class TestLinearExtension:
             rec.extend_linear([mixed, X])
 
     def test_gate_requires_certificate_or_commutation(self, record_2_4):
+        # the certificate is the commutation check, so it alone opens the gate
         rec, _ = record_2_4
         saved_cert = dict(rec.certificates)
-        saved_comm = dict(rec.commutation_ok)
         try:
             rec.certificates.clear()
-            rec.commutation_ok.clear()
             with pytest.raises(CertificateMissing):
                 rec.resolve_map((X, (1, 1)))
         finally:
             rec.certificates.update(saved_cert)
-            rec.commutation_ok.update(saved_comm)
 
 
 class TestCertification:
@@ -195,12 +194,17 @@ class TestCertification:
         assert isinstance(cert, PeriodicityCertificate)
         assert cert.period == 2
 
-    def test_zeta_components_are_identities(self, record_2_4):
-        rec, _ = record_2_4
-        zeta = rec.zeta_power(1)
-        one = rec.algebra.resolution.algebra.one()
-        for n in zeta.position_range():
-            assert zeta.component(n).entry(0, 0) == one
+    def test_zeta_components_are_identities(self):
+        # the precondition under which the certificate is the commutation
+        # check: the y-cocycle is the identity shift in both f1 modes
+        for p, q in SWEEP:
+            resolution = build_cyclic_resolution(p, q, default_truncation(2 * q))
+            identity = AlgebraMap.identity(resolution.algebra, 1)
+            for f1_mode in ("paper", "auto"):
+                rec = AInfinityRecord(EndomorphismAlgebra(resolution, f1_mode=f1_mode))
+                zeta = rec.zeta_power(1)
+                for n in zeta.position_range():
+                    assert zeta.component(n) == identity, (p, q, f1_mode, n)
 
     def test_perturbed_value_fails_with_tuple(self):
         rec, _ = computed_record(3, 3, max_arity=4)
@@ -211,23 +215,23 @@ class TestCertification:
         broken[4] = broken[4].scale(2)
         rec2.f_table[key] = rec2.algebra.from_components(1, broken)
         rec2.certificates.pop(2, None)
-        result = rec2.certify_periodicity(2)
-        assert isinstance(result, CertificationFailure)
-        assert result.key == key
+        with pytest.raises(CommutationFailure, match=r"f_2\(x, x\)"):
+            rec2.certify_periodicity(2)
+        assert 2 not in rec2.certificates
 
     def test_unexpected_errors_propagate(self, monkeypatch):
-        # only NotPeriodic and TruncationTooShort are certification outcomes;
-        # anything else is a fault and must not be recorded as a failure
+        # only NotPeriodic is a certification outcome (as CommutationFailure);
+        # anything else is a fault and must propagate unchanged
         algebra = EndomorphismAlgebra(build_cyclic_resolution(2, 4, 20))
         rec = AInfinityRecord(algebra, mode="reduced")
 
-        def broken(f, period=None):
+        def broken(f):
             raise DimensionMismatch("injected")
 
         monkeypatch.setattr(algebra, "periodic_compact", broken)
         with pytest.raises(DimensionMismatch, match="injected"):
             rec.compute_arity(2)
-        assert not rec.certification_failures
+        assert not rec.certificates
 
     def test_commutation_abort_on_corruption(self):
         rec, _ = computed_record(2, 4, max_arity=3)
@@ -240,7 +244,44 @@ class TestCertification:
         broken[4] = value.component(4).from_element(alg.alpha(3))
         rec2.f_table[key] = rec2.algebra.from_components(1, broken)
         with pytest.raises(CommutationFailure):
-            rec2._check_commutation(2)
+            rec2._certify(2)
+
+    def test_corrupted_homotopy_aborts_the_run(self, monkeypatch):
+        # a stored f_2 that does not repeat with the period stops the run
+        # at its own arity, before anything extends it linearly
+        algebra = EndomorphismAlgebra(build_cyclic_resolution(2, 4, 20))
+        rec = AInfinityRecord(algebra, mode="reduced")
+        solve = algebra.nullhomotopy
+        alg = algebra.resolution.algebra
+
+        def corrupted(f, assume_boundary=False):
+            value = solve(f, assume_boundary=assume_boundary)
+            broken = dict(value.components)
+            broken[4] = value.component(4).from_element(alg.alpha(3))
+            return algebra.from_components(value.degree, broken)
+
+        monkeypatch.setattr(algebra, "nullhomotopy", corrupted)
+        with pytest.raises(CommutationFailure, match=r"f_2\(x, x\)"):
+            rec.compute_structure(8)
+        assert rec.computed_arities == {2} and not rec.certificates
+
+    def test_non_identity_zeta_aborts_at_arity_two(self, monkeypatch):
+        # y's representative scaled by the unit 2 of F_3 is still a cocycle
+        # of the right class, but not the identity shift y-linearity needs
+        algebra = EndomorphismAlgebra(build_cyclic_resolution(3, 3, 28))
+        basis = algebra.homology_basis
+
+        def scaled(degree, verify="light"):
+            found = basis(degree, verify)
+            if degree != 2:
+                return found
+            return [(cls, rep.scale(2)) for cls, rep in found]
+
+        monkeypatch.setattr(algebra, "homology_basis", scaled)
+        rec = AInfinityRecord(algebra, mode="reduced")
+        with pytest.raises(CommutationFailure, match="not the identity"):
+            rec.compute_structure(6)
+        assert rec.computed_arities == {2} and not rec.certificates
 
 
 class TestHalting:
