@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .endo_dga import EndomorphismAlgebra
 from .errors import AInfinityError, InvalidParameter, UnresolvableValue
-from .ff_linalg import is_prime
+from .ff_linalg import PrimeField
 from .kadeishvili import (AInfinityRecord, HElement, StructureSummary, UNIT,
                           X, locate, monomial_degree, monomial_name,
                           monomial_of_degree, monomial_terms, ring_product)
@@ -227,8 +227,12 @@ def parse_structure(text: str) -> dict:
     if type(header) is not dict:
         _bad("'header' (not an object)", header)
     p, q, f1, halting = (header.get(k) for k in ("p", "q", "f1", "halting"))
-    if not (type(p) is int and is_prime(p)):
-        _bad("header 'p' (not a prime)", p)
+    if type(p) is not int:
+        _bad("header 'p' (not an integer)", p)
+    try:
+        PrimeField(p)
+    except InvalidParameter as exc:
+        _bad(f"header 'p' ({exc})", p)
     if not (type(q) is int and q >= 3):
         _bad("header 'q' (not an integer >= 3)", q)
     if f1 not in ("paper", "auto"):
@@ -425,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ainfinity",
         description="Compute the A-infinity structure on the Ext algebra of "
                     "F_p[a]/(a^q), verify it, and serialize or query it.")
-    parser.add_argument("--p", type=int, default=None, help="prime characteristic")
+    parser.add_argument("--p", type=int, default=None, help="prime characteristic, below 2^16")
     parser.add_argument("--q", type=int, default=None, help="truncation exponent (>= 3)")
     parser.add_argument("--max-arity", type=int, default=None,
                         help="highest arity to compute (default 2q)")

@@ -15,7 +15,7 @@ prime field, locally wherever the resolution allows it:
 * the cyclic resolution is minimal (its differentials are a and
   a^(q-1)), so Ext^g = Hom(X_g, k) and the class of a degree-g cycle is
   the a^0 coefficient of its bottom component f_g divided by that of the
-  basis representative (degree 0 reads the action on the augmentation);
+  basis representative (in degree 0 the identity, whose coefficient is 1);
 * nullhomotopies are solved position by position from the bottom of the
   truncation upward, always taking the canonical solution (free
   coordinates zero).  Above the joint bottom equation the per-position
@@ -30,17 +30,16 @@ prime field, locally wherever the resolution allows it:
   alternating (a^(q-2), 1) and (1, 1) pictures; in odd characteristic
   the sign alternation is forced by D f = d f + f d on degree-1 maps.
 
-The flattened path -- window-global coordinate vectors, one block per
-position, and the differential as a matrix on them (`d_matrix`) -- stays
-as the oracle: it checks each pinned representative once per degree,
-builds the "auto" echelon representatives, counts dimensions for
-homology_basis(verify="full"), and reads classes (`flattened_class_of`)
-for families other than the cyclic one.
+Only the cyclic family is accepted.  The flattened path -- window-global
+coordinate vectors, one block per position, and the differential as a
+matrix on them (`d_matrix`) -- checks each basis representative once per
+degree and builds the "auto" echelon representatives.  The flattened
+class read and dimension count live with the tests (tests/oracle.py).
 
-Caches: homology bases per degree and the per-parity homotopy operators,
-both filled behind a lock; ranks of d_matrix and the flattened class
-contexts of the oracle.  All cached values are immutable after
-construction, so concurrent readers need no further coordination.
+Caches: coordinate layouts per degree, homology bases per degree and the
+per-parity homotopy operators, the last two filled behind a lock.  All
+cached values are immutable after construction, so concurrent readers
+need no further coordination.
 """
 
 from __future__ import annotations
@@ -52,8 +51,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InvalidParameter, NotABoundary,
                      NotACycle, NotPeriodic, TruncationTooShort)
-from .ff_linalg import (SolveContext, kernel_basis_array, rank_array,
-                        rref_array, solve_array)
+from .ff_linalg import SolveContext, kernel_basis_array, rref_array, solve_array
 from .resolution import AlgebraMap, PeriodicResolution
 
 
@@ -162,14 +160,6 @@ class GradedEndomorphism:
             self._diff = self.algebra.differential(self)
         return self._diff
 
-    def compose(self, other: "GradedEndomorphism") -> "GradedEndomorphism":
-        return self.algebra.compose(self, other)
-
-    __mul__ = compose
-
-    def coords(self) -> np.ndarray:
-        return self.algebra.coords_of(self)
-
     def __repr__(self):
         comps = {n: self.components[n] for n in sorted(self.components)}
         return f"GradedEndomorphism(degree={self.degree}, components={comps})"
@@ -220,6 +210,7 @@ class EndomorphismAlgebra:
     `f1_mode` selects the cycle-choosing section used by `homology_basis`:
     "paper" pins the cyclic-family generators described in the module
     docstring, "auto" echelonizes the cycle space against the boundaries.
+    Both read classes locally, so the resolution must be the cyclic one.
     """
 
     #: extra positions beyond the requested degree that homology-level
@@ -229,15 +220,13 @@ class EndomorphismAlgebra:
     def __init__(self, res: PeriodicResolution, f1_mode: str = "paper"):
         if f1_mode not in ("paper", "auto"):
             raise InvalidParameter(f"unknown f1 mode {f1_mode!r}")
-        if f1_mode == "paper" and res.family != "cyclic":
+        if res.family != "cyclic":
             raise InvalidParameter(
-                "paper representatives are only defined for the cyclic family")
+                f"homology is only read on the cyclic family, not {res.family!r}")
         self.resolution = res
         self.f1_mode = f1_mode
         self._lock = threading.Lock()
         self._layouts: dict[int, _DegreeLayout] = {}
-        self._d_ranks: dict[int, int] = {}
-        self._class_contexts: dict[int, tuple] = {}
         self._homotopy_ops: dict[tuple, tuple] = {}
         self._basis: dict[int, list] = {}
 
@@ -282,15 +271,6 @@ class EndomorphismAlgebra:
         """The all-identity degree-2 shift; generates degree-2 homology."""
         alg = self.resolution.algebra
         return self.from_element_pattern(2, alg.one(), alg.one())
-
-    def random_endomorphism(self, rng: np.random.Generator, degree: int) -> GradedEndomorphism:
-        res = self.resolution
-        q = res.algebra.q
-        comps = {}
-        for n in range(degree, res.length + 1):
-            shape = (res.module_rank(n - degree), res.module_rank(n), q)
-            comps[n] = AlgebraMap(res.algebra, rng.integers(0, self.p, size=shape))
-        return GradedEndomorphism(self, degree, comps)
 
     def _check_component_shape(self, degree: int, n: int, m: AlgebraMap):
         res = self.resolution
@@ -428,16 +408,6 @@ class EndomorphismAlgebra:
                         out[r0:r0 + q, c0:c0 + q] += block
         return out % self.p
 
-    def d_rank(self, degree: int) -> int:
-        r = self._d_ranks.get(degree)
-        if r is None:
-            if degree < 0:
-                r = 0
-            else:
-                r = rank_array(self.d_matrix(degree), self.p)
-            self._d_ranks[degree] = r
-        return r
-
     # ----- homology ------------------------------------------------------------
 
     def _require_window(self, degree: int):
@@ -447,22 +417,12 @@ class EndomorphismAlgebra:
                 f"homology in degree {degree} needs window length >= "
                 f"{degree + margin + 1}, have {self.resolution.length}")
 
-    def homology_dimension(self, degree: int) -> int:
-        # Degree 0 is measured through the induced action on the augmented
-        # homology of the resolution (the nullhomotopies of chain maps have
-        # degree -1 and live outside the window kept here); every other
-        # degree is an honest kernel/image count.
-        if degree == 0:
-            return 1
-        self._require_window(degree)
-        return self.layout(degree).total - self.d_rank(degree) - self.d_rank(degree - 1)
-
-    def homology_basis(self, degree: int, verify: str = "light") -> list:
+    def homology_basis(self, degree: int) -> list:
         """Ordered [(HomologyClass, representative)] for the given degree.
 
         In "paper" mode degree 2j+e is represented by x_rep^e o y_rep^j
         (identity in degree 0); "auto" mode echelonizes cycles against
-        boundaries.  With verify="full" the dimension count is checked.
+        boundaries; each representative is checked to be a cycle.
         """
         with self._lock:
             cached = self._basis.get(degree)
@@ -472,12 +432,6 @@ class EndomorphismAlgebra:
                 cached = [(HomologyClass(degree, tuple(int(i == k) for i in range(len(reps)))),
                            rep) for k, rep in enumerate(reps)]
                 self._basis[degree] = cached
-        if verify == "full":
-            dim = self.homology_dimension(degree)
-            if dim != len(cached):
-                raise TruncationTooShort(
-                    f"degree {degree}: found {len(cached)} representatives for a "
-                    f"homology space of dimension {dim}")
         return cached
 
     def _build_reps(self, degree: int) -> list:
@@ -502,9 +456,9 @@ class EndomorphismAlgebra:
         cycles = kernel_basis_array(dmat, p)
         if not cycles:
             return []
-        boundary = self.d_matrix(degree - 1) if degree > 0 else None
+        boundary = self.d_matrix(degree - 1)
         reduced = np.array(cycles, dtype=np.int64)
-        if boundary is not None and boundary.size:
+        if boundary.size:
             b_red, b_pivots = rref_array(boundary.T, p)
             for row, col in zip(b_red, b_pivots):
                 coef = reduced[:, col].copy()
@@ -512,46 +466,19 @@ class EndomorphismAlgebra:
         q_red, q_pivots = rref_array(reduced, p)
         return [self.from_coords(degree, q_red[i]) for i in range(len(q_pivots))]
 
-    def _class_context(self, degree: int):
-        ctx = self._class_contexts.get(degree)
-        if ctx is None:
-            basis = self.homology_basis(degree)
-            reps = np.array([self.coords_of(rep) for _, rep in basis],
-                            dtype=np.int64).T if basis else \
-                np.zeros((self.layout(degree).total, 0), dtype=np.int64)
-            if degree > 0:
-                boundary = self.d_matrix(degree - 1)
-                m = np.concatenate([reps, boundary], axis=1)
-            else:
-                m = reps
-            solver = SolveContext(m, self.p)
-            for k in range(reps.shape[1]):
-                if k not in solver.pivots:
-                    raise TruncationTooShort(
-                        f"degree {degree}: representative {k} is a boundary; "
-                        "the truncation window is unstable")
-            ctx = (solver, reps.shape[1])
-            self._class_contexts[degree] = ctx
-        return ctx
-
     def class_of(self, f: GradedEndomorphism) -> HomologyClass:
         """Coordinates of the class of a cycle in the chosen basis.
 
-        On the cyclic family the class is read from one coefficient (see
-        the module docstring).  A cycle that only the window edge makes
-        closed is not told apart by this read; the engine always solves
-        for the nullhomotopy of f - f_1(class) next, and that exact solve
-        raises NotABoundary on it.  Other families go through the
-        flattened oracle.
+        The class is read from one coefficient of the bottom component
+        (see the module docstring).  A cycle that only the window edge
+        makes closed is not told apart by this read; the engine always
+        solves for the nullhomotopy of f - f_1(class) next, and that exact
+        solve raises NotABoundary on it.
         """
         g = f.degree
         self._require_window(g)
         if not f.differential().is_zero():
             raise NotACycle(f"degree-{g} element has nonzero differential")
-        if g == 0:
-            return HomologyClass(0, (self._augmentation_scalar(f),))
-        if self.resolution.family != "cyclic":
-            return self.flattened_class_of(f)
         basis = self.homology_basis(g)
         if len(basis) != 1:
             raise TruncationTooShort(
@@ -566,47 +493,18 @@ class EndomorphismAlgebra:
         coeff = int(f.component(g).entries[0, 0, 0]) * pow(lead, p - 2, p) % p
         return HomologyClass(g, (coeff,))
 
-    def flattened_class_of(self, f: GradedEndomorphism) -> HomologyClass:
-        """Class coordinates by a canonical solve against the window-global
-        [representatives | boundary-operator] matrix (the oracle path)."""
-        g = f.degree
-        self._require_window(g)
-        v = self.coords_of(f)
-        if np.any((self.d_matrix(g) @ v) % self.p):
-            raise NotACycle(f"degree-{g} element has nonzero differential")
-        if g == 0:
-            return HomologyClass(0, (self._augmentation_scalar(f),))
-        solver, nreps = self._class_context(g)
-        x = solver.solve(v)
-        if x is None:
-            raise TruncationTooShort(
-                f"degree {g}: cycle outside the span of representatives and "
-                "boundaries; the truncation window is unstable")
-        return HomologyClass(g, tuple(int(c) for c in x[:nreps]))
-
-    def _augmentation_scalar(self, f: GradedEndomorphism) -> int:
-        """Scalar by which a chain map acts on the augmented homology of X."""
-        res = self.resolution
-        aug = res.augmentation
-        v = solve_array(aug, np.array([1], dtype=np.int64), self.p)
-        if v is None:
-            raise InvalidParameter("augmentation is not surjective")
-        image = (f.component(0).flatten() @ v) % self.p
-        return int((aug @ image)[0] % self.p)
-
-    def nullhomotopy(self, f: GradedEndomorphism, assume_boundary: bool = False) -> GradedEndomorphism:
+    def nullhomotopy(self, f: GradedEndomorphism) -> GradedEndomorphism:
         """Canonical h with D h = f, solved from the bottom position upward.
 
         The first window equation is solved jointly for the two lowest
         components; every later position is a canonical solve against the
-        cached operators of its parity (`_homotopy_operators`).
-        Raises NotABoundary when the class of f is nonzero.
+        cached operators of its parity (`_homotopy_operators`).  Raises
+        NotABoundary on every f that is not a boundary: a nonzero class
+        fails the bottom equation, a non-cycle by the first position where
+        D f is nonzero.
         """
         if f.degree < 1:
             raise InvalidParameter("a boundary has degree at least 1")
-        if not assume_boundary:
-            if not self.class_of(f).is_zero():
-                raise NotABoundary(f"degree-{f.degree} element has nonzero class")
         res = self.resolution
         g = f.degree - 1
         L = res.length

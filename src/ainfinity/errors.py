@@ -22,7 +22,7 @@ class NotACycle(AInfinityError):
 
 
 class NotABoundary(AInfinityError):
-    """A nullhomotopy was requested for an element with nonzero class."""
+    """A nullhomotopy was requested for an element that is not a boundary."""
 
 
 class NotPeriodic(AInfinityError):

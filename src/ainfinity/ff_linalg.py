@@ -16,6 +16,13 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidParameter
 
 
+# All arithmetic is exact int64 numpy.  The longest dot product is
+# `EndomorphismAlgebra.d_matrix(g) @ coords`, with inner dimension
+# K = q * (L - g + 1); its K x K matrix caps K far below 2^31 in any run
+# that fits in memory, and then p < 2^16 keeps K * (p - 1)^2 < 2^63.
+MODULUS_BOUND = 2 ** 16
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -32,12 +39,17 @@ class PrimeField:
     """Arithmetic context for the field with p elements.
 
     Elements are plain python/numpy integers in [0, p); the context owns
-    the modulus and the inversion rule. Primality is checked once here.
+    the modulus and the inversion rule. The bound MODULUS_BOUND, then
+    primality, are checked once here: a huge p costs no trial division.
     """
 
     p: int
 
     def __post_init__(self):
+        if self.p >= MODULUS_BOUND:
+            raise InvalidParameter(
+                f"modulus {self.p} is not below {MODULUS_BOUND}, the bound for "
+                "exact int64 arithmetic")
         if not is_prime(self.p):
             raise InvalidParameter(f"modulus {self.p} is not prime")
 

@@ -443,7 +443,7 @@ class AInfinityRecord:
         psi = self.obstruction(key)
         product = self.algebra.class_of(psi)
         rhs = psi - self.f1_of_class(product) if not product.is_zero() else psi
-        value = self.algebra.nullhomotopy(rhs, assume_boundary=True)
+        value = self.algebra.nullhomotopy(rhs)
         self.m_table[key] = product
         self.f_table[key] = value
         return product, value

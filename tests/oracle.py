@@ -1,0 +1,59 @@
+"""The window-global "flattened" homology oracle, as plain functions.
+
+The engine reads classes from one coefficient and solves nullhomotopies
+position by position; these functions work on whole-window coordinate
+vectors and `d_matrix` instead, so tests can check the engine against them.
+"""
+
+import numpy as np
+
+from ainfinity.endo_dga import HomologyClass
+from ainfinity.errors import NotACycle, TruncationTooShort
+from ainfinity.ff_linalg import SolveContext, rank_array, solve_array
+from ainfinity.resolution import AlgebraMap
+
+
+def random_endomorphism(algebra, rng, degree):
+    res = algebra.resolution
+    comps = {}
+    for n in range(degree, res.length + 1):
+        shape = (res.module_rank(n - degree), res.module_rank(n), algebra.q)
+        comps[n] = AlgebraMap(res.algebra, rng.integers(0, algebra.p, size=shape))
+    return algebra.from_components(degree, comps)
+
+
+def homology_dimension(algebra, degree):
+    """dim ker D - dim im D.  Degree 0 is the action on the augmented
+    homology (its homotopies have degree -1, outside the window): 1."""
+    if degree == 0:
+        return 1
+    algebra._require_window(degree)
+    ranks = [rank_array(algebra.d_matrix(g), algebra.p) for g in (degree, degree - 1)]
+    return algebra.layout(degree).total - sum(ranks)
+
+
+def augmentation_scalar(algebra, f):
+    """Scalar by which a degree-0 chain map acts on the augmented homology."""
+    aug = algebra.resolution.augmentation
+    v = solve_array(aug, np.array([1], dtype=np.int64), algebra.p)
+    return int((aug @ (f.component(0).flatten() @ v))[0] % algebra.p)
+
+
+def flattened_class_of(algebra, f):
+    """Class coordinates by a canonical solve against the window-global
+    [representatives | boundary operator] matrix."""
+    g = f.degree
+    algebra._require_window(g)
+    v = algebra.coords_of(f)
+    if np.any((algebra.d_matrix(g) @ v) % algebra.p):
+        raise NotACycle(f"degree-{g} element has nonzero differential")
+    if g == 0:
+        return HomologyClass(0, (augmentation_scalar(algebra, f),))
+    reps = [algebra.coords_of(rep) for _, rep in algebra.homology_basis(g)]
+    solver = SolveContext(np.column_stack(reps + [algebra.d_matrix(g - 1)]), algebra.p)
+    if solver.pivots[:len(reps)] != list(range(len(reps))):
+        raise TruncationTooShort(f"degree {g}: a representative is a boundary")
+    x = solver.solve(v)
+    if x is None:
+        raise TruncationTooShort(f"degree {g}: cycle outside representatives and boundaries")
+    return HomologyClass(g, tuple(int(c) for c in x[:len(reps)]))

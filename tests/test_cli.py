@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from ainfinity import ff_linalg
 from ainfinity.cli import (RunConfig, default_truncation, dump_structure,
                            main, parse_element, parse_structure, run,
                            run_query, split_query)
@@ -311,6 +312,29 @@ class TestMain:
             doc["header"]["p"] = 4
         err = self._query_bad_file(tmp_path, capsys, golden_run, mutate)
         assert "'p'" in err
+
+    def test_largest_prime_below_the_bound_verifies(self, capsys):
+        assert main(["--p", "65521", "--q", "3", "--truncation", "8", "--verify"]) == 0
+        assert "verification: pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("p", [65537, 4294967311])
+    def test_prime_above_the_bound_exit_one(self, p, capsys):
+        # 4294967311 used to overflow int64 silently and fail verification
+        assert main(["--p", str(p), "--q", "3", "--truncation", "8", "--verify"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("p", [65537, 10000000000037])
+    def test_file_prime_above_the_bound_exit_one(self, p, tmp_path, capsys,
+                                                 golden_run, monkeypatch):
+        # the bound is checked before primality: no trial division up to sqrt(p)
+        tested = []
+        monkeypatch.setattr(ff_linalg, "is_prime", lambda n: tested.append(n) or True)
+
+        def mutate(doc):
+            doc["header"]["p"] = p
+        err = self._query_bad_file(tmp_path, capsys, golden_run, mutate)
+        assert "'p'" in err and "65536" in err
+        assert tested == []
 
     def test_query_on_a_directory_exit_one(self, tmp_path, capsys):
         assert main(["--query", "product: x,x,x", "--output", str(tmp_path)]) == 1

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import oracle
 from ainfinity.endo_dga import EndomorphismAlgebra
-from ainfinity.errors import (NotABoundary, NotACycle, NotPeriodic,
-                              TruncationTooShort)
+from ainfinity.errors import (InvalidParameter, NotABoundary, NotACycle,
+                              NotPeriodic, TruncationTooShort)
 from ainfinity.ff_linalg import solve_array
 from ainfinity.resolution import (AlgebraMap, PeriodicResolution,
                                   build_cyclic_resolution)
@@ -48,7 +49,7 @@ class TestDifferential:
 
     def test_cached_differential_matches_recomputation(self, algebra):
         rng = np.random.default_rng(29)
-        f = algebra.random_endomorphism(rng, 1)
+        f = oracle.random_endomorphism(algebra, rng, 1)
         first = f.differential()
         assert f.differential() is first  # cached on the element
         assert first == algebra.differential(f)  # and agrees with a fresh run
@@ -57,15 +58,15 @@ class TestDifferential:
         rng = np.random.default_rng(7)
         for degree in (0, 1, 2, 3):
             for _ in range(10):
-                f = algebra.random_endomorphism(rng, degree)
+                f = oracle.random_endomorphism(algebra, rng, degree)
                 assert algebra.differential(algebra.differential(f)).is_zero()
 
     def test_leibniz_randomized(self, algebra):
         rng = np.random.default_rng(11)
         for (dg, dh) in [(1, 1), (1, 2), (2, 2), (0, 3)]:
             for _ in range(10):
-                f = algebra.random_endomorphism(rng, dg)
-                g = algebra.random_endomorphism(rng, dh)
+                f = oracle.random_endomorphism(algebra, rng, dg)
+                g = oracle.random_endomorphism(algebra, rng, dh)
                 lhs = algebra.differential(algebra.compose(f, g))
                 sign = -1 if dg % 2 else 1
                 rhs = (algebra.compose(algebra.differential(f), g)
@@ -84,7 +85,7 @@ class TestCompose:
 
     def test_identity_neutral(self, algebra):
         rng = np.random.default_rng(3)
-        f = algebra.random_endomorphism(rng, 2)
+        f = oracle.random_endomorphism(algebra, rng, 2)
         assert algebra.compose(algebra.identity(), f) == f
         assert algebra.compose(f, algebra.identity()) == f
 
@@ -114,14 +115,17 @@ class TestHomology:
         assert basis[0][1] == algebra.identity()
 
     def test_degree_one_and_two_representatives(self, algebra):
-        b1 = algebra.homology_basis(1, verify="full")
-        b2 = algebra.homology_basis(2, verify="full")
+        b1 = algebra.homology_basis(1)
+        b2 = algebra.homology_basis(2)
+        assert len(b1) == oracle.homology_dimension(algebra, 1)
+        assert len(b2) == oracle.homology_dimension(algebra, 2)
         assert b1[0][1] == algebra.rep_x()
         assert b2[0][1] == algebra.rep_y()
 
     def test_dimensions_are_one(self, algebra):
         for degree in range(0, 7):
-            assert algebra.homology_dimension(degree) == 1
+            assert oracle.homology_dimension(algebra, degree) == 1
+            assert len(algebra.homology_basis(degree)) == 1
 
     def test_class_of_generators(self, algebra):
         assert algebra.class_of(algebra.rep_x()).coords == (1,)
@@ -130,7 +134,7 @@ class TestHomology:
     def test_boundaries_vanish(self, algebra):
         rng = np.random.default_rng(23)
         for degree in (0, 1, 2):
-            h = algebra.random_endomorphism(rng, degree)
+            h = oracle.random_endomorphism(algebra, rng, degree)
             boundary = algebra.differential(h)
             assert algebra.class_of(boundary).is_zero()
 
@@ -157,7 +161,7 @@ class TestHomology:
 
     def test_not_a_cycle_raises(self, algebra):
         rng = np.random.default_rng(5)
-        f = algebra.random_endomorphism(rng, 1)
+        f = oracle.random_endomorphism(algebra, rng, 1)
         if algebra.differential(f).is_zero():  # pragma: no cover
             pytest.skip("randomly drew a cycle")
         with pytest.raises(NotACycle):
@@ -183,27 +187,21 @@ class TestLocalClassRead:
                 c = int(rng.integers(0, p))
                 f = rep.scale(c)
                 if degree > 0:
-                    h = algebra.random_endomorphism(rng, degree - 1)
+                    h = oracle.random_endomorphism(algebra, rng, degree - 1)
                     f = f + algebra.differential(h)
                 local = algebra.class_of(f)
-                assert local == algebra.flattened_class_of(f)
+                assert local == oracle.flattened_class_of(algebra, f)
                 assert local.coords == (c,)
 
-    def test_non_cyclic_family_uses_the_oracle(self):
-        # the cyclic data declared as a custom family reaches the
-        # flattened path and gets the same answers
+    @pytest.mark.parametrize("f1_mode", ["paper", "auto"])
+    def test_non_cyclic_family_rejected(self, f1_mode):
+        # the local class read holds on the cyclic family only, so the
+        # same data declared as a custom family is refused up front
         cyclic = build_cyclic_resolution(3, 4, 14)
         custom = PeriodicResolution(cyclic.algebra, 2, 14, cyclic.ranks,
                                     cyclic.differentials, cyclic.augmentation)
-        local = EndomorphismAlgebra(cyclic, "auto")
-        oracle = EndomorphismAlgebra(custom, "auto")
-        rng = np.random.default_rng(41)
-        for degree in (1, 2, 3):
-            rep = oracle.homology_basis(degree)[0][1]
-            h = oracle.random_endomorphism(rng, degree - 1)
-            f = rep.scale(2) + oracle.differential(h)
-            mirrored = local.from_components(degree, f.components)
-            assert oracle.class_of(f) == local.class_of(mirrored)
+        with pytest.raises(InvalidParameter, match="cyclic family"):
+            EndomorphismAlgebra(custom, f1_mode)
 
 
 def reference_nullhomotopy(algebra, f):
@@ -244,16 +242,29 @@ class TestNullhomotopy:
         rng = np.random.default_rng(31)
         for degree in (1, 2, 3, 4):
             for _ in range(3):
-                w = algebra.random_endomorphism(rng, degree - 1)
+                w = oracle.random_endomorphism(algebra, rng, degree - 1)
                 boundary = algebra.differential(w)
                 h = algebra.nullhomotopy(boundary)
                 assert h == reference_nullhomotopy(algebra, boundary)
                 assert algebra.differential(h) == boundary
 
-    def test_assumed_boundary_still_checked(self, algebra):
-        # skipping the class read leaves the exact solve to reject it
-        with pytest.raises(NotABoundary):
-            algebra.nullhomotopy(algebra.rep_x(), assume_boundary=True)
+    @pytest.mark.parametrize("f1_mode", ["paper", "auto"])
+    @pytest.mark.parametrize("p,q", [(2, 4), (3, 3), (5, 5), (3, 9), (7, 4)])
+    def test_exact_solve_rejects_every_non_boundary(self, p, q, f1_mode):
+        # no class read guards the solve: it alone must refuse every
+        # nonzero class, whatever boundary is added, and every non-cycle
+        algebra = make_algebra(p, q, length=16, f1_mode=f1_mode)
+        rng = np.random.default_rng(100 * p + q)
+        for degree in range(1, 8):
+            rep = algebra.homology_basis(degree)[0][1]
+            for c in range(1, p):
+                h = oracle.random_endomorphism(algebra, rng, degree - 1)
+                with pytest.raises(NotABoundary):
+                    algebra.nullhomotopy(rep.scale(c) + algebra.differential(h))
+            f = oracle.random_endomorphism(algebra, rng, degree)
+            assert not f.differential().is_zero()
+            with pytest.raises(NotABoundary):
+                algebra.nullhomotopy(f)
 
     def test_zero_gives_zero(self, algebra):
         assert algebra.nullhomotopy(algebra.zero(2)).is_zero()
@@ -271,7 +282,7 @@ class TestNullhomotopy:
         rng = np.random.default_rng(17)
         for degree in (1, 2):
             for _ in range(8):
-                w = algebra.random_endomorphism(rng, degree)
+                w = oracle.random_endomorphism(algebra, rng, degree)
                 boundary = algebra.differential(w)
                 h = algebra.nullhomotopy(boundary)
                 assert algebra.differential(h) == boundary

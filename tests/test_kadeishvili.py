@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import oracle
 from conftest import SWEEP, computed_record
 from ainfinity.cli import default_truncation
 from ainfinity.endo_dga import EndomorphismAlgebra
@@ -254,8 +255,8 @@ class TestCertification:
         solve = algebra.nullhomotopy
         alg = algebra.resolution.algebra
 
-        def corrupted(f, assume_boundary=False):
-            value = solve(f, assume_boundary=assume_boundary)
+        def corrupted(f):
+            value = solve(f)
             broken = dict(value.components)
             broken[4] = value.component(4).from_element(alg.alpha(3))
             return algebra.from_components(value.degree, broken)
@@ -271,8 +272,8 @@ class TestCertification:
         algebra = EndomorphismAlgebra(build_cyclic_resolution(3, 3, 28))
         basis = algebra.homology_basis
 
-        def scaled(degree, verify="light"):
-            found = basis(degree, verify)
+        def scaled(degree):
+            found = basis(degree)
             if degree != 2:
                 return found
             return [(cls, rep.scale(2)) for cls, rep in found]
@@ -371,7 +372,7 @@ class TestConcurrency:
         algebra = EndomorphismAlgebra(build_cyclic_resolution(3, 3, 28))
         serial = EndomorphismAlgebra(build_cyclic_resolution(3, 3, 28))
         rng = np.random.default_rng(13)
-        boundaries = [algebra.differential(algebra.random_endomorphism(rng, g))
+        boundaries = [algebra.differential(oracle.random_endomorphism(algebra, rng, g))
                       for g in (0, 1, 2)]
         expected = [serial.nullhomotopy(
             serial.from_components(b.degree, b.components)).components
