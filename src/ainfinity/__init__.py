@@ -7,8 +7,7 @@ from .errors import (AInfinityError, CertificateMissing, CommutationFailure,
                      UnresolvableValue)
 from .ff_linalg import PrimeField
 from .resolution import (AlgebraElement, AlgebraMap, PeriodicResolution,
-                         TruncatedPolyAlgebra, build_cyclic_resolution,
-                         check_exactness)
+                         TruncatedPolyAlgebra, build_cyclic_resolution)
 from .endo_dga import (CompactForm, EndomorphismAlgebra, GradedEndomorphism,
                        HomologyClass)
 from .kadeishvili import (AInfinityRecord, HElement, SignedTerm,
@@ -25,7 +24,7 @@ __all__ = [
     "NotPeriodic", "PsiNotCycle", "TruncationTooShort", "UnresolvableValue",
     "PrimeField",
     "AlgebraElement", "AlgebraMap", "PeriodicResolution",
-    "TruncatedPolyAlgebra", "build_cyclic_resolution", "check_exactness",
+    "TruncatedPolyAlgebra", "build_cyclic_resolution",
     "CompactForm", "EndomorphismAlgebra", "GradedEndomorphism", "HomologyClass",
     "AInfinityRecord", "HElement", "SignedTerm", "StructureSummary",
     "first_complete_arity", "insertion_sign", "monomial_name",

@@ -266,6 +266,11 @@ def parse_structure(text: str) -> dict:
             for field, kind in fields.items():
                 if type(entry.get(field)) is not kind:
                     _bad(f"{section!r} entry {field!r} (a {kind.__name__})", entry.get(field))
+    # every homology group is one-dimensional, so a product is one coordinate
+    for entry in doc["products"]:
+        coords = entry["coords"]
+        if not (len(coords) == 1 and type(coords[0]) is int and 0 <= coords[0] < p):
+            _bad(f"'products' entry 'coords' (one integer in [0, {p}))", coords)
     return doc
 
 
@@ -281,7 +286,6 @@ class DocTable:
     def __init__(self, doc: dict):
         self.doc = doc
         self.p = doc["header"]["p"]
-        self.q = doc["header"]["q"]
         self.monos = [(b["eps"], b["ypow"]) for b in
                       sorted(doc["basis"], key=lambda b: b["index"])]
         self.products = self._keyed(doc["products"])
@@ -316,8 +320,7 @@ class DocTable:
         entry, e = self._stored(self.products, key)
         if entry is None:
             return sum(monomial_degree(m) for m in key) + 2 - n, 0
-        coords = entry["coords"]
-        return entry["degree"] + 2 * e, (coords[0] if coords else 0)
+        return entry["degree"] + 2 * e, entry["coords"][0]
 
     def product_element(self, slots: list[HElement]) -> HElement:
         acc = HElement(self.p)

@@ -1,6 +1,6 @@
 """The endomorphism dg-algebra of a truncated free resolution.
 
-A degree-g element is a family of module maps f_n : X_n -> X_(n-g) for
+A degree-g element is a collection of module maps f_n : X_n -> X_(n-g) for
 g <= n <= L (cohomological grading: degree-n classes of the Ext algebra
 are represented by endomorphisms lowering the position by n).  The
 differential is
@@ -21,25 +21,25 @@ prime field, locally wherever the resolution allows it:
   coordinates zero).  Above the joint bottom equation the per-position
   operators repeat with the period, so one elimination per (degree,
   position mod period) is cached on the algebra.  On periodic input
-  this reproduces the periodic homotopies of the cyclic family on the
-  nose;
-* for the cyclic family the degree-1 homology generator is represented
-  by the cocycle with component (-1)^n * a^(q-2) at even positions n and
-  (-1)^n * 1 at odd positions, and the degree-2 generator by the
-  all-identity shift.  In characteristic two these are the classical
+  this reproduces the periodic homotopies of the cyclic resolution on
+  the nose;
+* the degree-1 homology generator is represented by the cocycle with
+  component (-1)^n * a^(q-2) at even positions n and (-1)^n * 1 at odd
+  positions, and the degree-2 generator by the all-identity shift.  In characteristic two these are the classical
   alternating (a^(q-2), 1) and (1, 1) pictures; in odd characteristic
   the sign alternation is forced by D f = d f + f d on degree-1 maps.
 
-Only the cyclic family is accepted.  The flattened path -- window-global
-coordinate vectors, one block per position, and the differential as a
-matrix on them (`d_matrix`) -- checks each basis representative once per
-degree and builds the "auto" echelon representatives.  The flattened
-class read and dimension count live with the tests (tests/oracle.py).
+Every module is R, so a component is one ring element.  The flattened
+path -- window-global coordinate vectors, the degree-g element's
+components as q-vectors laid end to end (f_n at offset q*(n - g)), and
+the differential as a matrix on them (`d_matrix`) -- checks each basis
+representative once per degree and builds the "auto" echelon
+representatives.  The flattened class read and dimension count live
+with the tests (tests/oracle.py).
 
-Caches: coordinate layouts per degree, homology bases per degree and the
-per-parity homotopy operators, the last two filled behind a lock.  All
-cached values are immutable after construction, so concurrent readers
-need no further coordination.
+Caches: homology bases per degree and the per-parity homotopy operators,
+both filled behind a lock.  All cached values are immutable after
+construction, so concurrent readers need no further coordination.
 """
 
 from __future__ import annotations
@@ -113,8 +113,7 @@ class GradedEndomorphism:
         if not self.degree <= n <= res.length:
             raise TruncationTooShort(
                 f"component {n} of a degree-{self.degree} map on a length-{res.length} window")
-        return AlgebraMap.zero(res.algebra, res.module_rank(n - self.degree),
-                               res.module_rank(n))
+        return AlgebraMap.zero(res.algebra, 1, 1)
 
     def is_zero(self) -> bool:
         return not self.components
@@ -185,32 +184,12 @@ class CompactForm:
         return GradedEndomorphism(algebra, self.degree, comps)
 
 
-class _DegreeLayout:
-    """Coordinate layout of the degree-g component space within the window."""
-
-    def __init__(self, algebra: "EndomorphismAlgebra", degree: int):
-        res = algebra.resolution
-        q = res.algebra.q
-        self.degree = degree
-        self.positions = list(range(degree, res.length + 1))
-        self.offsets = {}
-        self.sizes = {}
-        off = 0
-        for n in self.positions:
-            size = q * res.module_rank(n) * res.module_rank(n - degree)
-            self.offsets[n] = off
-            self.sizes[n] = size
-            off += size
-        self.total = off
-
-
 class EndomorphismAlgebra:
-    """End_R(X) for a truncated periodic resolution X, with exact homology.
+    """End_R(X) for the truncated cyclic resolution X, with exact homology.
 
     `f1_mode` selects the cycle-choosing section used by `homology_basis`:
-    "paper" pins the cyclic-family generators described in the module
-    docstring, "auto" echelonizes the cycle space against the boundaries.
-    Both read classes locally, so the resolution must be the cyclic one.
+    "paper" pins the generators described in the module docstring, "auto"
+    echelonizes the cycle space against the boundaries.
     """
 
     #: extra positions beyond the requested degree that homology-level
@@ -220,13 +199,9 @@ class EndomorphismAlgebra:
     def __init__(self, res: PeriodicResolution, f1_mode: str = "paper"):
         if f1_mode not in ("paper", "auto"):
             raise InvalidParameter(f"unknown f1 mode {f1_mode!r}")
-        if res.family != "cyclic":
-            raise InvalidParameter(
-                f"homology is only read on the cyclic family, not {res.family!r}")
         self.resolution = res
         self.f1_mode = f1_mode
         self._lock = threading.Lock()
-        self._layouts: dict[int, _DegreeLayout] = {}
         self._homotopy_ops: dict[tuple, tuple] = {}
         self._basis: dict[int, list] = {}
 
@@ -245,7 +220,7 @@ class EndomorphismAlgebra:
 
     def identity(self) -> GradedEndomorphism:
         res = self.resolution
-        comps = {n: AlgebraMap.identity(res.algebra, res.module_rank(n))
+        comps = {n: AlgebraMap.identity(res.algebra, 1)
                  for n in range(res.length + 1)}
         return GradedEndomorphism(self, 0, comps)
 
@@ -253,7 +228,7 @@ class EndomorphismAlgebra:
         return GradedEndomorphism(self, degree, components)
 
     def from_element_pattern(self, degree: int, even, odd) -> GradedEndomorphism:
-        """Rank-1 helper: component `even` at even positions, `odd` at odd ones."""
+        """Component `even` at even positions, `odd` at odd ones."""
         res = self.resolution
         comps = {}
         for n in range(degree, res.length + 1):
@@ -262,7 +237,7 @@ class EndomorphismAlgebra:
         return GradedEndomorphism(self, degree, comps)
 
     def rep_x(self) -> GradedEndomorphism:
-        """Cocycle generating degree-1 homology of the cyclic family."""
+        """Cocycle generating degree-1 homology."""
         alg = self.resolution.algebra
         return self.from_element_pattern(
             1, alg.alpha(alg.q - 2), alg.scalar(-1))
@@ -273,9 +248,7 @@ class EndomorphismAlgebra:
         return self.from_element_pattern(2, alg.one(), alg.one())
 
     def _check_component_shape(self, degree: int, n: int, m: AlgebraMap):
-        res = self.resolution
-        if (m.target_rank != res.module_rank(n - degree)
-                or m.source_rank != res.module_rank(n)):
+        if (m.target_rank, m.source_rank) != (1, 1):
             raise DimensionMismatch(
                 f"component at {n} of a degree-{degree} map has shape "
                 f"{(m.target_rank, m.source_rank)}")
@@ -324,89 +297,46 @@ class EndomorphismAlgebra:
 
     # ----- flattened coordinates ----------------------------------------------
 
-    def layout(self, degree: int) -> _DegreeLayout:
-        lay = self._layouts.get(degree)
-        if lay is None:
-            lay = _DegreeLayout(self, degree)
-            self._layouts[degree] = lay
-        return lay
+    def _size(self, degree: int) -> int:
+        """Length of a degree-g coordinate vector: a q-vector per position g..L."""
+        return self.q * (self.resolution.length - degree + 1)
 
     def coords_of(self, f: GradedEndomorphism) -> np.ndarray:
-        lay = self.layout(f.degree)
-        v = np.zeros(lay.total, dtype=np.int64)
+        q, g = self.q, f.degree
+        v = np.zeros(self._size(g), dtype=np.int64)
         for n, m in f.components.items():
-            off = lay.offsets[n]
-            v[off:off + lay.sizes[n]] = m.coords()
+            v[q * (n - g):q * (n - g + 1)] = m.coords()
         return v
 
     def from_coords(self, degree: int, v: np.ndarray) -> GradedEndomorphism:
-        res = self.resolution
-        lay = self.layout(degree)
+        q = self.q
         comps = {}
-        for n in lay.positions:
-            off = lay.offsets[n]
-            block = v[off:off + lay.sizes[n]]
+        for n in range(degree, self.resolution.length + 1):
+            block = v[q * (n - degree):q * (n - degree + 1)]
             if np.any(block):
-                comps[n] = AlgebraMap.from_coords(
-                    res.algebra, res.module_rank(n - degree), res.module_rank(n), block)
+                comps[n] = AlgebraMap.from_coords(self.resolution.algebra, 1, 1, block)
         return GradedEndomorphism(self, degree, comps)
 
     def d_matrix(self, degree: int) -> np.ndarray:
         """Matrix of the differential from degree g to degree g+1 coordinates.
 
         Window-global and uncached: the oracle for `differential`, used
-        once per degree to check the basis representatives.
+        once per degree to check the basis representatives.  Every module
+        is R, which is commutative, so h -> d_k o h and h -> h o d_k are
+        both multiplication by d_k, with coordinate matrix d_k.flatten().
         """
         res = self.resolution
-        src, tgt = self.layout(degree), self.layout(degree + 1)
-        out = np.zeros((tgt.total, src.total), dtype=np.int64)
+        q = self.q
+        out = np.zeros((self._size(degree + 1), self._size(degree)), dtype=np.int64)
         sign = (-1 if degree % 2 else 1)
-        for n in tgt.positions:
+        for n in range(degree + 1, res.length + 1):
+            row, col = q * (n - degree - 1), q * (n - degree)
             # d o f_n contribution
-            left = self._compose_operator(res.differential(n - degree),
-                                          res.module_rank(n), left_side=True)
-            out[tgt.offsets[n]:tgt.offsets[n] + tgt.sizes[n],
-                src.offsets[n]:src.offsets[n] + src.sizes[n]] += left
+            out[row:row + q, col:col + q] += res.differential(n - degree).flatten()
             # -(-1)^g f_(n-1) o d_n contribution
-            if n - 1 >= degree:
-                right = self._compose_operator(res.differential(n),
-                                               res.module_rank(n - 1 - degree),
-                                               left_side=False)
-                out[tgt.offsets[n]:tgt.offsets[n] + tgt.sizes[n],
-                    src.offsets[n - 1]:src.offsets[n - 1] + src.sizes[n - 1]] -= sign * right
+            out[row:row + q, col - q:col] -= sign * res.differential(n).flatten()
         out %= self.p
         return out
-
-    def _compose_operator(self, d: AlgebraMap, other_rank: int, left_side: bool) -> np.ndarray:
-        """Coordinate matrix of h -> d o h (left) or h -> h o d (right).
-
-        For h in Hom(R^s, R^t) the coordinates are the (t, s, q) entry
-        tensor; composition by a fixed map is F_p-linear in them.
-        """
-        q = d.algebra.q
-        if left_side:
-            t_in, s_in = d.source_rank, other_rank
-            t_out = d.target_rank
-            out = np.zeros((t_out * s_in * q, t_in * s_in * q), dtype=np.int64)
-            for i_out in range(t_out):
-                for j in range(t_in):
-                    block = d.entry(i_out, j).mult_matrix()
-                    for k in range(s_in):
-                        r0 = (i_out * s_in + k) * q
-                        c0 = (j * s_in + k) * q
-                        out[r0:r0 + q, c0:c0 + q] += block
-        else:
-            t_in, s_in = other_rank, d.target_rank
-            s_out = d.source_rank
-            out = np.zeros((t_in * s_out * q, t_in * s_in * q), dtype=np.int64)
-            for k in range(s_out):
-                for j in range(s_in):
-                    block = d.entry(j, k).mult_matrix()
-                    for i in range(t_in):
-                        r0 = (i * s_out + k) * q
-                        c0 = (i * s_in + j) * q
-                        out[r0:r0 + q, c0:c0 + q] += block
-        return out % self.p
 
     # ----- homology ------------------------------------------------------------
 
@@ -482,7 +412,7 @@ class EndomorphismAlgebra:
         basis = self.homology_basis(g)
         if len(basis) != 1:
             raise TruncationTooShort(
-                f"degree {g}: {len(basis)} representatives on a cyclic family; "
+                f"degree {g}: {len(basis)} representatives on the cyclic resolution; "
                 "the truncation window is unstable")
         p = self.p
         lead = int(basis[0][1].component(g).entries[0, 0, 0])
@@ -516,31 +446,23 @@ class EndomorphismAlgebra:
 
         comps = {}
         n0 = g + 1
-        lmat = self._compose_operator(res.differential(n0 - g), res.module_rank(n0),
-                                      left_side=True)
-        rmat = self._compose_operator(res.differential(n0), res.module_rank(0),
-                                      left_side=False)
+        lmat = res.differential(n0 - g).flatten()
+        rmat = res.differential(n0).flatten()
         joint = np.concatenate([(-sign * rmat) % p, lmat], axis=1)
         rhs = f.component(n0).coords()
         x = solve_array(joint, rhs, p)
         if x is None:
             raise NotABoundary(f"no homotopy at position {n0}")
-        split = res.module_rank(g) * res.module_rank(0) * q
-        prev = x[:split]
-        comps[g] = AlgebraMap.from_coords(res.algebra, res.module_rank(0),
-                                          res.module_rank(g), prev)
-        cur = x[split:]
-        comps[n0] = AlgebraMap.from_coords(res.algebra, res.module_rank(1),
-                                           res.module_rank(n0), cur)
-        prev = cur
+        comps[g] = AlgebraMap.from_coords(res.algebra, 1, 1, x[:q])
+        prev = x[q:]
+        comps[n0] = AlgebraMap.from_coords(res.algebra, 1, 1, prev)
         for n in range(n0 + 1, L + 1):
             left, right = self._homotopy_operators(g, n)
             rhs = (f.component(n).coords() + sign * (right @ prev)) % p
             x = left.solve(rhs)
             if x is None:
                 raise NotABoundary(f"no homotopy at position {n}")
-            comps[n] = AlgebraMap.from_coords(res.algebra, res.module_rank(n - g),
-                                              res.module_rank(n), x)
+            comps[n] = AlgebraMap.from_coords(res.algebra, 1, 1, x)
             prev = x
         return GradedEndomorphism(self, g, comps)
 
@@ -548,20 +470,17 @@ class EndomorphismAlgebra:
         """(SolveContext of h_n -> d o h_n, matrix of h_(n-1) -> h_(n-1) o d_n)
         for a degree-g homotopy at position n >= g + 2.
 
-        Every index involved is at least 1, where differentials and ranks
-        repeat with the period, so the pair depends on n mod period only.
+        Both are multiplication by a differential (see `d_matrix`), and
+        every index involved is at least 1, where the differentials repeat
+        with the period, so the pair depends on n mod period only.
         """
         res = self.resolution
         key = (g, n % res.period)
         with self._lock:
             ops = self._homotopy_ops.get(key)
             if ops is None:
-                left = self._compose_operator(res.differential(n - g),
-                                              res.module_rank(n), left_side=True)
-                right = self._compose_operator(res.differential(n),
-                                               res.module_rank(n - 1 - g),
-                                               left_side=False)
-                ops = (SolveContext(left, self.p), right)
+                ops = (SolveContext(res.differential(n - g).flatten(), self.p),
+                       res.differential(n).flatten())
                 self._homotopy_ops[key] = ops
         return ops
 

@@ -39,8 +39,8 @@ class PrimeField:
     """Arithmetic context for the field with p elements.
 
     Elements are plain python/numpy integers in [0, p); the context owns
-    the modulus and the inversion rule. The bound MODULUS_BOUND, then
-    primality, are checked once here: a huge p costs no trial division.
+    the modulus. The bound MODULUS_BOUND, then primality, are checked once
+    here: a huge p costs no trial division.
     """
 
     p: int
@@ -52,12 +52,6 @@ class PrimeField:
                 "exact int64 arithmetic")
         if not is_prime(self.p):
             raise InvalidParameter(f"modulus {self.p} is not prime")
-
-    def inv(self, a: int) -> int:
-        a = int(a) % self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.p - 2, self.p)
 
     def array(self, data) -> np.ndarray:
         return np.asarray(data, dtype=np.int64) % self.p

@@ -18,7 +18,7 @@ Psi_n - f_1(m_n).
 
 Homology elements are written over the monomial basis x^e y^j
 (e in {0,1}) of the exterior-times-polynomial cohomology ring of the
-cyclic family, with y the distinguished polynomial class z.  Two
+cyclic resolution, with y the distinguished polynomial class z.  Two
 reductions keep the computation finite:
 
 * polynomial-class linearity: values on tuples with y-powers are the

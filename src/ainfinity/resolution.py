@@ -1,14 +1,15 @@
-"""Truncated polynomial rings, free-module maps, and periodic resolutions.
+"""Truncated polynomial rings, free-module maps, and the cyclic resolution.
 
 The ground ring is R = F_p[a]/(a^q) for a prime p and exponent q >= 3.
 Maps between free R-modules are matrices of ring elements; flattening
 such a map replaces each entry by the q x q multiplication matrix of the
 entry, giving the underlying F_p-linear map on coefficient vectors.
 
-`build_cyclic_resolution` produces the period-2 truncated free resolution
-of the ground field with rank-1 modules and differentials alternating
-between multiplication by a and by a^(q-1); d_1 (the map feeding the
-augmentation) is multiplication by a.
+`build_cyclic_resolution` produces the one resolution the package works
+with (`PeriodicResolution`): the period-2 truncated free resolution of
+the ground field with every module R and differentials alternating
+between multiplication by a and by a^(q-1); d_1, whose image is the
+kernel of R -> k (evaluation at a = 0), is multiplication by a.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
-from .ff_linalg import PrimeField, _frozen, rank_array
+from .ff_linalg import PrimeField, _frozen
 
 
 @dataclass(frozen=True)
@@ -153,11 +154,6 @@ class AlgebraMap:
         """Rank-1 map: multiplication by a single ring element."""
         return cls(elem.algebra, elem.coeffs.reshape(1, 1, -1))
 
-    @classmethod
-    def from_elements(cls, algebra: TruncatedPolyAlgebra, rows) -> "AlgebraMap":
-        data = [[e.coeffs for e in row] for row in rows]
-        return cls(algebra, np.array(data, dtype=np.int64))
-
     @property
     def target_rank(self) -> int:
         return self.entries.shape[0]
@@ -248,148 +244,36 @@ class AlgebraMap:
 
 
 class PeriodicResolution:
-    """Truncated free resolution of the ground field with a declared period.
+    """The period-2 truncated free resolution of the ground field over R.
 
-    Modules are X_0 .. X_L with ranks `ranks[n]`; differentials d_n map
-    X_n to X_(n-1) for 1 <= n <= L.  Construction checks d o d = 0 and
-    that differentials and ranks repeat with the period.
+    Every module X_0 .. X_L is R itself, and d_n : X_n -> X_(n-1) for
+    1 <= n <= L is multiplication by a for odd n and by a^(q-1) for even
+    n, so d_1, whose image is the kernel of R -> k, is multiplication
+    by a.  The two maps kill each other, which the constructor checks
+    once; the sequence is exact because the kernel of each map is the
+    image of the other.
     """
 
-    __slots__ = ("algebra", "period", "length", "ranks", "differentials",
-                 "augmentation", "family")
+    __slots__ = ("algebra", "length", "_mult_a", "_mult_a_top")
 
-    def __init__(self, algebra: TruncatedPolyAlgebra, period: int, length: int,
-                 ranks, differentials: dict, augmentation: np.ndarray,
-                 family: str = "custom"):
-        if period < 1:
-            raise InvalidParameter(f"period {period} must be positive")
+    period = 2
+
+    def __init__(self, algebra: TruncatedPolyAlgebra, length: int):
         if length < 2:
-            raise InvalidParameter(f"length {length} must be at least 2")
+            raise InvalidParameter(f"length={length} must be >= 2")
         self.algebra = algebra
-        self.period = period
         self.length = length
-        self.ranks = list(ranks)
-        if len(self.ranks) != length + 1:
-            raise InvalidParameter("need one rank per position 0..L")
-        self.differentials = dict(differentials)
-        self.augmentation = _frozen(algebra.field.array(augmentation))
-        self.family = family
-        self._validate()
-
-    def _validate(self):
-        for n in range(1, self.length + 1):
-            d = self.differentials.get(n)
-            if d is None:
-                raise InvalidParameter(f"missing differential at position {n}")
-            if d.source_rank != self.ranks[n] or d.target_rank != self.ranks[n - 1]:
-                raise InvalidParameter(f"differential at {n} has wrong shape")
-        for n in range(2, self.length + 1):
-            if not self.differentials[n - 1].compose(self.differentials[n]).is_zero():
-                raise InvalidParameter(f"d o d != 0 at position {n}")
-        for n in range(1, self.length + 1 - self.period):
-            if self.differentials[n + self.period] != self.differentials[n]:
-                raise InvalidParameter(
-                    f"differentials do not repeat with period {self.period} at {n}")
-            if self.ranks[n + self.period] != self.ranks[n]:
-                raise InvalidParameter(
-                    f"ranks do not repeat with period {self.period} at {n}")
+        self._mult_a = AlgebraMap.from_element(algebra.alpha(1))
+        self._mult_a_top = AlgebraMap.from_element(algebra.alpha(algebra.q - 1))
+        if not self._mult_a.compose(self._mult_a_top).is_zero():
+            raise InvalidParameter("d o d != 0")
 
     def differential(self, n: int) -> AlgebraMap:
         if not 1 <= n <= self.length:
             raise InvalidParameter(f"differential index {n} outside 1..{self.length}")
-        return self.differentials[n]
-
-    def module_rank(self, n: int) -> int:
-        if not 0 <= n <= self.length:
-            raise InvalidParameter(f"module index {n} outside 0..{self.length}")
-        return self.ranks[n]
-
-    def __repr__(self):
-        return (f"PeriodicResolution(p={self.algebra.p}, q={self.algebra.q}, "
-                f"period={self.period}, length={self.length}, family={self.family!r})")
+        return self._mult_a if n % 2 else self._mult_a_top
 
 
 def build_cyclic_resolution(p: int, q: int, length: int) -> PeriodicResolution:
-    """Rank-1 period-2 resolution of k over F_p[a]/(a^q).
-
-    d_n is multiplication by a for odd n and by a^(q-1) for even n, so the
-    map next to the augmentation is multiplication by a.
-    """
-    if q < 3:
-        raise InvalidParameter(f"q={q} must be >= 3")
-    if length < 2:
-        raise InvalidParameter(f"length={length} must be >= 2")
-    algebra = TruncatedPolyAlgebra(p, q)
-    mult_a = AlgebraMap.from_element(algebra.alpha(1))
-    mult_a_top = AlgebraMap.from_element(algebra.alpha(q - 1))
-    diffs = {n: (mult_a if n % 2 == 1 else mult_a_top) for n in range(1, length + 1)}
-    augmentation = np.zeros((1, q), dtype=np.int64)
-    augmentation[0, 0] = 1  # evaluation at a = 0
-    return PeriodicResolution(algebra, 2, length, [1] * (length + 1), diffs,
-                              augmentation, family="cyclic")
-
-
-@dataclass(frozen=True)
-class PositionReport:
-    position: int
-    dd_zero: bool | None  # None where d o d is out of range
-    exact: bool | None    # None where exactness is not part of the check
-    kernel_dim: int | None = None
-    image_dim: int | None = None
-
-    @property
-    def passed(self) -> bool:
-        return (self.dd_zero is not False) and (self.exact is not False)
-
-
-@dataclass(frozen=True)
-class ExactnessReport:
-    entries: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    def failures(self) -> list[PositionReport]:
-        return [e for e in self.entries if not e.passed]
-
-    def __str__(self):
-        lines = []
-        for e in self.entries:
-            bits = [f"position {e.position}:"]
-            if e.dd_zero is not None:
-                bits.append("d.d=0" if e.dd_zero else "d.d!=0")
-            if e.exact is not None:
-                bits.append(
-                    f"ker={e.kernel_dim} im={e.image_dim} "
-                    + ("exact" if e.exact else "NOT exact"))
-            lines.append(" ".join(bits))
-        lines.append("overall: " + ("pass" if self.passed else "fail"))
-        return "\n".join(lines)
-
-
-def check_exactness(res: PeriodicResolution) -> ExactnessReport:
-    """Check d o d = 0 everywhere and ker d_n = im d_(n+1) for 1 <= n <= L-1.
-
-    Kernel and image dimensions are compared over F_p after flattening;
-    together with d o d = 0 the dimension count is equivalent to exactness.
-    Failures are report entries, not exceptions.
-    """
-    p = res.algebra.p
-    q = res.algebra.q
-    flat = {n: res.differential(n).flatten() for n in range(1, res.length + 1)}
-    ranks = {n: rank_array(flat[n], p) for n in flat}
-    entries = []
-    for n in range(1, res.length + 1):
-        if n == 1:
-            dd_zero = not np.any((res.augmentation @ flat[1]) % p)
-        else:
-            dd_zero = res.differential(n - 1).compose(res.differential(n)).is_zero()
-        exact = None
-        ker_dim = im_dim = None
-        if 1 <= n <= res.length - 1:
-            ker_dim = q * res.module_rank(n) - ranks[n]
-            im_dim = ranks[n + 1]
-            exact = (dd_zero is not False) and ker_dim == im_dim
-        entries.append(PositionReport(n, dd_zero, exact, ker_dim, im_dim))
-    return ExactnessReport(tuple(entries))
+    """The period-2 resolution of k over F_p[a]/(a^q), positions 0..length."""
+    return PeriodicResolution(TruncatedPolyAlgebra(p, q), length)

@@ -17,7 +17,7 @@ def random_endomorphism(algebra, rng, degree):
     res = algebra.resolution
     comps = {}
     for n in range(degree, res.length + 1):
-        shape = (res.module_rank(n - degree), res.module_rank(n), algebra.q)
+        shape = (1, 1, algebra.q)
         comps[n] = AlgebraMap(res.algebra, rng.integers(0, algebra.p, size=shape))
     return algebra.from_components(degree, comps)
 
@@ -28,13 +28,16 @@ def homology_dimension(algebra, degree):
     if degree == 0:
         return 1
     algebra._require_window(degree)
-    ranks = [rank_array(algebra.d_matrix(g), algebra.p) for g in (degree, degree - 1)]
-    return algebra.layout(degree).total - sum(ranks)
+    dmat = algebra.d_matrix(degree)
+    return (dmat.shape[1] - rank_array(dmat, algebra.p)
+            - rank_array(algebra.d_matrix(degree - 1), algebra.p))
 
 
 def augmentation_scalar(algebra, f):
-    """Scalar by which a degree-0 chain map acts on the augmented homology."""
-    aug = algebra.resolution.augmentation
+    """Scalar by which a degree-0 chain map acts on the augmented homology
+    (the augmentation R -> k is evaluation at a = 0)."""
+    aug = np.zeros((1, algebra.q), dtype=np.int64)
+    aug[0, 0] = 1
     v = solve_array(aug, np.array([1], dtype=np.int64), algebra.p)
     return int((aug @ (f.component(0).flatten() @ v))[0] % algebra.p)
 

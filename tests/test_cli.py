@@ -381,6 +381,20 @@ def test_parse_structure_rejects_bad_entry(golden_run, section, field, value):
         parse_structure(json.dumps(doc))
 
 
+@pytest.mark.parametrize("coords", [["2"], [2.7], [True], [-1], [10 ** 30], [[1]]])
+def test_query_rejects_bad_product_coords(coords, tmp_path, capsys):
+    # serialize_structure writes exactly one integer in [0, p) per product
+    doc = json.loads(dump_structure(sweep_run(3, 3, "reduced", "paper").document))
+    x = next(b["index"] for b in doc["basis"] if (b["eps"], b["ypow"]) == (1, 0))
+    next(e for e in doc["products"] if e["inputs"] == [x, x, x])["coords"] = coords
+    out = tmp_path / "structure.json"
+    out.write_text(json.dumps(doc))
+    assert main(["--query", "product: x,x,x", "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error:") and "'coords'" in captured.err
+
+
 def test_parse_structure_accepts_every_sweep_file():
     for key in GOLDEN_DIGESTS:
         doc = sweep_run(*key).document

@@ -5,11 +5,10 @@ import pytest
 
 import oracle
 from ainfinity.endo_dga import EndomorphismAlgebra
-from ainfinity.errors import (InvalidParameter, NotABoundary, NotACycle,
-                              NotPeriodic, TruncationTooShort)
+from ainfinity.errors import (NotABoundary, NotACycle, NotPeriodic,
+                              TruncationTooShort)
 from ainfinity.ff_linalg import solve_array
-from ainfinity.resolution import (AlgebraMap, PeriodicResolution,
-                                  build_cyclic_resolution)
+from ainfinity.resolution import AlgebraMap, build_cyclic_resolution
 
 
 def make_algebra(p, q, length=24, f1_mode="paper"):
@@ -72,6 +71,23 @@ class TestDifferential:
                 rhs = (algebra.compose(algebra.differential(f), g)
                        + algebra.compose(f, algebra.differential(g)).scale(sign))
                 assert lhs == rhs
+
+
+class TestFlattenedCoordinates:
+    """The window-global coordinates: f_n's q-vector at offset q*(n - g)."""
+
+    @pytest.mark.parametrize("p,q", [(2, 4), (3, 3), (5, 5), (3, 9), (7, 4)])
+    def test_round_trip_and_d_matrix(self, p, q):
+        algebra = make_algebra(p, q, length=12)
+        rng = np.random.default_rng(10 * p + q)
+        for degree in range(0, 6):
+            dmat = algebra.d_matrix(degree)
+            for _ in range(5):
+                f = oracle.random_endomorphism(algebra, rng, degree)
+                v = algebra.coords_of(f)
+                assert algebra.from_coords(degree, v) == f
+                assert np.array_equal((dmat @ v) % p,
+                                      algebra.coords_of(f.differential()))
 
 
 class TestCompose:
@@ -193,16 +209,6 @@ class TestLocalClassRead:
                 assert local == oracle.flattened_class_of(algebra, f)
                 assert local.coords == (c,)
 
-    @pytest.mark.parametrize("f1_mode", ["paper", "auto"])
-    def test_non_cyclic_family_rejected(self, f1_mode):
-        # the local class read holds on the cyclic family only, so the
-        # same data declared as a custom family is refused up front
-        cyclic = build_cyclic_resolution(3, 4, 14)
-        custom = PeriodicResolution(cyclic.algebra, 2, 14, cyclic.ranks,
-                                    cyclic.differentials, cyclic.augmentation)
-        with pytest.raises(InvalidParameter, match="cyclic family"):
-            EndomorphismAlgebra(custom, f1_mode)
-
 
 def reference_nullhomotopy(algebra, f):
     """Per-position canonical solves with freshly built operators."""
@@ -211,28 +217,20 @@ def reference_nullhomotopy(algebra, f):
     g = f.degree - 1
     sign = -1 if g % 2 else 1
 
-    def left_op(n):
-        return algebra._compose_operator(res.differential(n - g),
-                                         res.module_rank(n), left_side=True)
-
-    def right_op(n):
-        return algebra._compose_operator(res.differential(n),
-                                         res.module_rank(n - 1 - g), left_side=False)
+    def op(k):
+        # composing with d_k on either side multiplies by it (R is commutative)
+        return res.differential(k).flatten()
 
     n0 = g + 1
-    joint = np.concatenate([(-sign * right_op(n0)) % p, left_op(n0)], axis=1)
+    joint = np.concatenate([(-sign * op(n0)) % p, op(1)], axis=1)
     x = solve_array(joint, f.component(n0).coords(), p)
-    split = res.module_rank(g) * res.module_rank(0) * q
-    comps = {g: AlgebraMap.from_coords(res.algebra, res.module_rank(0),
-                                       res.module_rank(g), x[:split]),
-             n0: AlgebraMap.from_coords(res.algebra, res.module_rank(1),
-                                        res.module_rank(n0), x[split:])}
-    prev = x[split:]
+    comps = {g: AlgebraMap.from_coords(res.algebra, 1, 1, x[:q]),
+             n0: AlgebraMap.from_coords(res.algebra, 1, 1, x[q:])}
+    prev = x[q:]
     for n in range(n0 + 1, res.length + 1):
-        rhs = (f.component(n).coords() + sign * (right_op(n) @ prev)) % p
-        x = solve_array(left_op(n), rhs, p)
-        comps[n] = AlgebraMap.from_coords(res.algebra, res.module_rank(n - g),
-                                          res.module_rank(n), x)
+        rhs = (f.component(n).coords() + sign * (op(n) @ prev)) % p
+        x = solve_array(op(n - g), rhs, p)
+        comps[n] = AlgebraMap.from_coords(res.algebra, 1, 1, x)
         prev = x
     return algebra.from_components(g, comps)
 

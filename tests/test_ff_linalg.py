@@ -177,9 +177,3 @@ class TestPrimeField:
     def test_rejects_composites(self, n):
         with pytest.raises(InvalidParameter):
             PrimeField(n)
-
-    @pytest.mark.parametrize("p", PRIMES)
-    def test_inverse(self, p):
-        field = PrimeField(p)
-        for a in range(1, p):
-            assert (a * field.inv(a)) % p == 1

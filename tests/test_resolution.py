@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import SWEEP
 from ainfinity.errors import InvalidParameter
 from ainfinity.ff_linalg import rank_array
-from ainfinity.resolution import (AlgebraMap, PeriodicResolution,
-                                  TruncatedPolyAlgebra,
-                                  build_cyclic_resolution, check_exactness)
+from ainfinity.resolution import (AlgebraMap, TruncatedPolyAlgebra,
+                                  build_cyclic_resolution)
 
 
 class TestAlgebraElement:
@@ -78,8 +78,8 @@ class TestAlgebraMap:
     def test_identity_neutral(self):
         alg = TruncatedPolyAlgebra(2, 4)
         ident = AlgebraMap.identity(alg, 2)
-        f = AlgebraMap.from_elements(alg, [[alg.alpha(1), alg.alpha(2)],
-                                           [alg.one(), alg.zero()]])
+        f = AlgebraMap(alg, [[alg.alpha(1).coeffs, alg.alpha(2).coeffs],
+                             [alg.one().coeffs, alg.zero().coeffs]])
         assert ident.compose(f) == f
         assert f.compose(ident) == f
 
@@ -102,58 +102,12 @@ class TestBuilder:
         with pytest.raises(InvalidParameter):
             build_cyclic_resolution(p, q, length)
 
-    def test_homology_vanishes_internally_3_3_4(self):
-        # dimension-count oracle through the flattened differentials
-        res = build_cyclic_resolution(3, 3, 4)
-        q, p = res.algebra.q, res.algebra.p
-        for n in range(1, 4):
+    @pytest.mark.parametrize("p,q", SWEEP + [(7, 4)])
+    def test_homology_vanishes_internally(self, p, q):
+        # exactness by the dimension count ker d_n = im d_(n+1) through the
+        # flattened differentials (d o d = 0 is checked above)
+        res = build_cyclic_resolution(p, q, 6)
+        for n in range(1, 6):
             ker = q - rank_array(res.differential(n).flatten(), p)
             im = rank_array(res.differential(n + 1).flatten(), p)
             assert ker == im
-
-
-class TestExactness:
-    def test_builder_output_passes(self):
-        assert check_exactness(build_cyclic_resolution(2, 4, 6)).passed
-        assert check_exactness(build_cyclic_resolution(5, 5, 9)).passed
-
-    def test_tampered_resolution_fails_at_tampered_position(self):
-        # replace one multiplication-by-a differential with a^2 (q=4);
-        # d o d stays zero but exactness breaks next to the tampered spot
-        alg = TruncatedPolyAlgebra(2, 4)
-        length = 6
-        diffs = {}
-        for n in range(1, length + 1):
-            power = 1 if n % 2 == 1 else 3
-            if n == 3:
-                power = 2
-            diffs[n] = AlgebraMap.from_element(alg.alpha(power))
-        aug = np.zeros((1, 4), dtype=np.int64)
-        aug[0, 0] = 1
-        res = PeriodicResolution(alg, length, length, [1] * (length + 1),
-                                 diffs, aug)
-        report = check_exactness(res)
-        assert not report.passed
-        failing = {e.position for e in report.failures()}
-        assert failing & {2, 3}
-        # the untouched low position still checks out
-        assert report.entries[0].passed
-
-    def test_length_two_edge(self):
-        report = check_exactness(build_cyclic_resolution(2, 4, 2))
-        assert report.passed
-        positions = [e.position for e in report.entries]
-        assert positions == [1, 2]
-        assert report.entries[0].exact is not None
-        assert report.entries[1].exact is None  # only d o d checked at the top
-
-    def test_periodicity_validated(self):
-        alg = TruncatedPolyAlgebra(2, 4)
-        diffs = {1: AlgebraMap.from_element(alg.alpha(1)),
-                 2: AlgebraMap.from_element(alg.alpha(3)),
-                 3: AlgebraMap.from_element(alg.alpha(3)),
-                 4: AlgebraMap.from_element(alg.alpha(3))}
-        aug = np.zeros((1, 4), dtype=np.int64)
-        aug[0, 0] = 1
-        with pytest.raises(InvalidParameter):
-            PeriodicResolution(alg, 2, 4, [1] * 5, diffs, aug)
