@@ -6,8 +6,8 @@ from .errors import (AInfinityError, CertificateMissing, CommutationFailure,
                      NotACycle, NotPeriodic, PsiNotCycle, TruncationTooShort,
                      UnresolvableValue)
 from .ff_linalg import PrimeField
-from .resolution import (AlgebraElement, AlgebraMap, PeriodicResolution,
-                         TruncatedPolyAlgebra, build_cyclic_resolution)
+from .resolution import (AlgebraMap, PeriodicResolution, TruncatedPolyAlgebra,
+                         build_cyclic_resolution)
 from .endo_dga import (CompactForm, EndomorphismAlgebra, GradedEndomorphism,
                        HomologyClass)
 from .kadeishvili import (AInfinityRecord, HElement, SignedTerm,
@@ -23,7 +23,7 @@ __all__ = [
     "DimensionMismatch", "InvalidParameter", "NotABoundary", "NotACycle",
     "NotPeriodic", "PsiNotCycle", "TruncationTooShort", "UnresolvableValue",
     "PrimeField",
-    "AlgebraElement", "AlgebraMap", "PeriodicResolution",
+    "AlgebraMap", "PeriodicResolution",
     "TruncatedPolyAlgebra", "build_cyclic_resolution",
     "CompactForm", "EndomorphismAlgebra", "GradedEndomorphism", "HomologyClass",
     "AInfinityRecord", "HElement", "SignedTerm", "StructureSummary",

@@ -334,13 +334,9 @@ class DocTable:
     def map_entry(self, key: tuple) -> tuple[dict | None, int]:
         """(stored entry, extra y-shift) realizing f_n on the tuple, or
         (None, 0) when the value is zero.  The shift is a plain degree
-        shift only when y's representative is the periodicity identity,
-        which holds on paper-mode files."""
-        entry, shift = self._stored(self.maps, key)
-        if shift and self.doc["header"]["f1"] != "paper":
-            raise UnresolvableValue(
-                "map queries with y-multiplied entries need a paper-mode file")
-        return entry, shift
+        shift because y's cocycle is the identity shift, which the record
+        checks in both sections before it stores a map."""
+        return self._stored(self.maps, key)
 
 
 def format_map_entry(entry: dict | None, shift: int) -> list:
@@ -390,7 +386,7 @@ def run(config: RunConfig) -> RunResult:
         for key in summary.nonzero_map_keys:
             tup = ",".join(monomial_name(m) for m in key)
             value = record.f_table[key]
-            block = [repr(value.component(n).entry(0, 0))
+            block = [repr(value.component(n))
                      for n in range(value.degree, value.degree + 2)]
             lines.append(f"  f_{len(key)}({tup}): degree {value.degree}, "
                          f"components from position {value.degree}: {block} repeating")

@@ -91,12 +91,16 @@ class GradedEndomorphism:
             raise InvalidParameter(f"degree {degree} must be >= 0")
         self.algebra = algebra
         self.degree = degree
+        ring = algebra.resolution.algebra
         comps = {}
         for n, m in components.items():
             lo, hi = degree, algebra.resolution.length
             if not lo <= n <= hi:
                 raise InvalidParameter(f"component position {n} outside [{lo}, {hi}]")
-            algebra._check_component_shape(degree, n, m)
+            if m.algebra != ring:
+                raise DimensionMismatch(
+                    f"component at {n} lies in F_{m.algebra.p}[a]/(a^{m.algebra.q}), "
+                    f"not in F_{ring.p}[a]/(a^{ring.q})")
             if not m.is_zero():
                 comps[n] = m
         self.components = comps
@@ -113,7 +117,7 @@ class GradedEndomorphism:
         if not self.degree <= n <= res.length:
             raise TruncationTooShort(
                 f"component {n} of a degree-{self.degree} map on a length-{res.length} window")
-        return AlgebraMap.zero(res.algebra, 1, 1)
+        return res.algebra.zero()
 
     def is_zero(self) -> bool:
         return not self.components
@@ -219,9 +223,8 @@ class EndomorphismAlgebra:
         return GradedEndomorphism(self, degree, {})
 
     def identity(self) -> GradedEndomorphism:
-        res = self.resolution
-        comps = {n: AlgebraMap.identity(res.algebra, 1)
-                 for n in range(res.length + 1)}
+        one = self.resolution.algebra.one()
+        comps = {n: one for n in range(self.resolution.length + 1)}
         return GradedEndomorphism(self, 0, comps)
 
     def from_components(self, degree: int, components: dict) -> GradedEndomorphism:
@@ -229,11 +232,8 @@ class EndomorphismAlgebra:
 
     def from_element_pattern(self, degree: int, even, odd) -> GradedEndomorphism:
         """Component `even` at even positions, `odd` at odd ones."""
-        res = self.resolution
-        comps = {}
-        for n in range(degree, res.length + 1):
-            elem = even if n % 2 == 0 else odd
-            comps[n] = AlgebraMap.from_element(elem)
+        comps = {n: even if n % 2 == 0 else odd
+                 for n in range(degree, self.resolution.length + 1)}
         return GradedEndomorphism(self, degree, comps)
 
     def rep_x(self) -> GradedEndomorphism:
@@ -246,12 +246,6 @@ class EndomorphismAlgebra:
         """The all-identity degree-2 shift; generates degree-2 homology."""
         alg = self.resolution.algebra
         return self.from_element_pattern(2, alg.one(), alg.one())
-
-    def _check_component_shape(self, degree: int, n: int, m: AlgebraMap):
-        if (m.target_rank, m.source_rank) != (1, 1):
-            raise DimensionMismatch(
-                f"component at {n} of a degree-{degree} map has shape "
-                f"{(m.target_rank, m.source_rank)}")
 
     # ----- dg-algebra operations ----------------------------------------------
 
@@ -305,7 +299,7 @@ class EndomorphismAlgebra:
         q, g = self.q, f.degree
         v = np.zeros(self._size(g), dtype=np.int64)
         for n, m in f.components.items():
-            v[q * (n - g):q * (n - g + 1)] = m.coords()
+            v[q * (n - g):q * (n - g + 1)] = m.coeffs
         return v
 
     def from_coords(self, degree: int, v: np.ndarray) -> GradedEndomorphism:
@@ -314,7 +308,7 @@ class EndomorphismAlgebra:
         for n in range(degree, self.resolution.length + 1):
             block = v[q * (n - degree):q * (n - degree + 1)]
             if np.any(block):
-                comps[n] = AlgebraMap.from_coords(self.resolution.algebra, 1, 1, block)
+                comps[n] = self.resolution.algebra.element(block)
         return GradedEndomorphism(self, degree, comps)
 
     def d_matrix(self, degree: int) -> np.ndarray:
@@ -323,7 +317,7 @@ class EndomorphismAlgebra:
         Window-global and uncached: the oracle for `differential`, used
         once per degree to check the basis representatives.  Every module
         is R, which is commutative, so h -> d_k o h and h -> h o d_k are
-        both multiplication by d_k, with coordinate matrix d_k.flatten().
+        both multiplication by d_k, with coordinate matrix d_k.mult_matrix().
         """
         res = self.resolution
         q = self.q
@@ -332,9 +326,9 @@ class EndomorphismAlgebra:
         for n in range(degree + 1, res.length + 1):
             row, col = q * (n - degree - 1), q * (n - degree)
             # d o f_n contribution
-            out[row:row + q, col:col + q] += res.differential(n - degree).flatten()
+            out[row:row + q, col:col + q] += res.differential(n - degree).mult_matrix()
             # -(-1)^g f_(n-1) o d_n contribution
-            out[row:row + q, col - q:col] -= sign * res.differential(n).flatten()
+            out[row:row + q, col - q:col] -= sign * res.differential(n).mult_matrix()
         out %= self.p
         return out
 
@@ -415,12 +409,12 @@ class EndomorphismAlgebra:
                 f"degree {g}: {len(basis)} representatives on the cyclic resolution; "
                 "the truncation window is unstable")
         p = self.p
-        lead = int(basis[0][1].component(g).entries[0, 0, 0])
+        lead = int(basis[0][1].component(g).coeffs[0])
         if lead == 0:
             raise TruncationTooShort(
                 f"degree {g}: representative has no a^0 term at the bottom; "
                 "the truncation window is unstable")
-        coeff = int(f.component(g).entries[0, 0, 0]) * pow(lead, p - 2, p) % p
+        coeff = int(f.component(g).coeffs[0]) * pow(lead, p - 2, p) % p
         return HomologyClass(g, (coeff,))
 
     def nullhomotopy(self, f: GradedEndomorphism) -> GradedEndomorphism:
@@ -446,23 +440,23 @@ class EndomorphismAlgebra:
 
         comps = {}
         n0 = g + 1
-        lmat = res.differential(n0 - g).flatten()
-        rmat = res.differential(n0).flatten()
+        lmat = res.differential(n0 - g).mult_matrix()
+        rmat = res.differential(n0).mult_matrix()
         joint = np.concatenate([(-sign * rmat) % p, lmat], axis=1)
-        rhs = f.component(n0).coords()
+        rhs = f.component(n0).coeffs
         x = solve_array(joint, rhs, p)
         if x is None:
             raise NotABoundary(f"no homotopy at position {n0}")
-        comps[g] = AlgebraMap.from_coords(res.algebra, 1, 1, x[:q])
+        comps[g] = res.algebra.element(x[:q])
         prev = x[q:]
-        comps[n0] = AlgebraMap.from_coords(res.algebra, 1, 1, prev)
+        comps[n0] = res.algebra.element(prev)
         for n in range(n0 + 1, L + 1):
             left, right = self._homotopy_operators(g, n)
-            rhs = (f.component(n).coords() + sign * (right @ prev)) % p
+            rhs = (f.component(n).coeffs + sign * (right @ prev)) % p
             x = left.solve(rhs)
             if x is None:
                 raise NotABoundary(f"no homotopy at position {n}")
-            comps[n] = AlgebraMap.from_coords(res.algebra, 1, 1, x)
+            comps[n] = res.algebra.element(x)
             prev = x
         return GradedEndomorphism(self, g, comps)
 
@@ -479,8 +473,8 @@ class EndomorphismAlgebra:
         with self._lock:
             ops = self._homotopy_ops.get(key)
             if ops is None:
-                ops = (SolveContext(res.differential(n - g).flatten(), self.p),
-                       res.differential(n).flatten())
+                ops = (SolveContext(res.differential(n - g).mult_matrix(), self.p),
+                       res.differential(n).mult_matrix())
                 self._homotopy_ops[key] = ops
         return ops
 

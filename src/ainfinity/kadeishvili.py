@@ -45,7 +45,6 @@ from .endo_dga import EndomorphismAlgebra, GradedEndomorphism, HomologyClass
 from .errors import (CertificateMissing, CommutationFailure, InvalidParameter,
                      NotPeriodic, PsiNotCycle, TruncationTooShort,
                      UnresolvableValue)
-from .resolution import AlgebraMap
 
 Monomial = tuple  # (e, j) meaning x^e * y^j with e in {0, 1}
 UNIT: Monomial = (0, 0)
@@ -496,7 +495,7 @@ class AInfinityRecord:
             zeta = self.zeta_power(1)
             for n in zeta.position_range():
                 entry = zeta.component(n)
-                if entry != AlgebraMap.identity(entry.algebra, entry.target_rank):
+                if entry != entry.algebra.one():
                     raise CommutationFailure(
                         "the polynomial-class cocycle is not the identity at position "
                         f"{n}; the linear reduction is invalid (rerun in brute mode)")

@@ -1,9 +1,11 @@
-"""Truncated polynomial rings, free-module maps, and the cyclic resolution.
+"""Truncated polynomial rings, their elements, and the cyclic resolution.
 
 The ground ring is R = F_p[a]/(a^q) for a prime p and exponent q >= 3.
-Maps between free R-modules are matrices of ring elements; flattening
-such a map replaces each entry by the q x q multiplication matrix of the
-entry, giving the underlying F_p-linear map on coefficient vectors.
+Every module of the resolution is R, and an R-linear map R -> R is
+multiplication by one ring element, so one type (`AlgebraMap`) is both
+the element and the map: it holds the element's q coefficients, composes
+by the truncated polynomial product, and its `mult_matrix` is the q x q
+F_p-matrix of multiplication on coefficient vectors.
 
 `build_cyclic_resolution` produces the one resolution the package works
 with (`PeriodicResolution`): the period-2 truncated free resolution of
@@ -35,24 +37,24 @@ class TruncatedPolyAlgebra:
             raise InvalidParameter(f"truncation exponent q={self.q} must be >= 3")
         object.__setattr__(self, "field", PrimeField(self.p))
 
-    def element(self, coeffs) -> "AlgebraElement":
+    def element(self, coeffs) -> "AlgebraMap":
         coeffs = self.field.array(coeffs)
         if coeffs.shape != (self.q,):
             raise DimensionMismatch(f"need {self.q} coefficients, got {coeffs.shape}")
-        return AlgebraElement(self, coeffs)
+        return AlgebraMap(self, coeffs)
 
-    def zero(self) -> "AlgebraElement":
+    def zero(self) -> "AlgebraMap":
         return self.element(np.zeros(self.q, dtype=np.int64))
 
-    def one(self) -> "AlgebraElement":
+    def one(self) -> "AlgebraMap":
         return self.scalar(1)
 
-    def scalar(self, c: int) -> "AlgebraElement":
+    def scalar(self, c: int) -> "AlgebraMap":
         coeffs = np.zeros(self.q, dtype=np.int64)
         coeffs[0] = c % self.p
         return self.element(coeffs)
 
-    def alpha(self, power: int = 1, coeff: int = 1) -> "AlgebraElement":
+    def alpha(self, power: int = 1, coeff: int = 1) -> "AlgebraMap":
         """coeff * a^power, which is zero once power >= q."""
         coeffs = np.zeros(self.q, dtype=np.int64)
         if 0 <= power < self.q:
@@ -60,8 +62,13 @@ class TruncatedPolyAlgebra:
         return self.element(coeffs)
 
 
-class AlgebraElement:
-    """Element of R, stored as the length-q coefficient vector of 1, a, ..., a^(q-1)."""
+class AlgebraMap:
+    """Element r of R, as the length-q coefficient vector of 1, a, ...,
+    a^(q-1), and the R-linear map R -> R that multiplies by r.
+
+    Build elements through `TruncatedPolyAlgebra.element`, which reduces
+    and checks the coefficients; the arithmetic below keeps them reduced.
+    """
 
     __slots__ = ("algebra", "coeffs")
 
@@ -69,9 +76,18 @@ class AlgebraElement:
         self.algebra = algebra
         self.coeffs = _frozen(coeffs)
 
+    @property
+    def entries(self) -> np.ndarray:
+        """Read-only (1, 1, q) view of the coefficients: the map as a 1 x 1
+        matrix of ring elements, the layout structure files store."""
+        return self.coeffs.reshape(1, 1, -1)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs.any()
+
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, AlgebraElement)
+            isinstance(other, AlgebraMap)
             and self.algebra == other.algebra
             and bool(np.array_equal(self.coeffs, other.coeffs))
         )
@@ -79,25 +95,22 @@ class AlgebraElement:
     def __hash__(self):
         return hash((self.algebra, self.coeffs.tobytes()))
 
-    def is_zero(self) -> bool:
-        return not np.any(self.coeffs)
+    def __add__(self, other: "AlgebraMap") -> "AlgebraMap":
+        return AlgebraMap(self.algebra, (self.coeffs + other.coeffs) % self.algebra.p)
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.algebra, (self.coeffs + other.coeffs) % self.algebra.p)
+    def __sub__(self, other: "AlgebraMap") -> "AlgebraMap":
+        return AlgebraMap(self.algebra, (self.coeffs - other.coeffs) % self.algebra.p)
 
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.algebra, (self.coeffs - other.coeffs) % self.algebra.p)
+    def __neg__(self) -> "AlgebraMap":
+        return AlgebraMap(self.algebra, (-self.coeffs) % self.algebra.p)
 
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, (-self.coeffs) % self.algebra.p)
+    def scale(self, c: int) -> "AlgebraMap":
+        return AlgebraMap(self.algebra, (self.coeffs * (int(c) % self.algebra.p)) % self.algebra.p)
 
-    def scale(self, c: int) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, (self.coeffs * (int(c) % self.algebra.p)) % self.algebra.p)
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        # Truncated polynomial product: a^i * a^j = 0 once i + j >= q.
+    def compose(self, other: "AlgebraMap") -> "AlgebraMap":
+        """self after other: the truncated product, a^i * a^j = 0 once i + j >= q."""
         full = np.convolve(self.coeffs, other.coeffs)
-        return AlgebraElement(self.algebra, full[: self.algebra.q] % self.algebra.p)
+        return AlgebraMap(self.algebra, full[:self.algebra.q] % self.algebra.p)
 
     def mult_matrix(self) -> np.ndarray:
         """q x q matrix of multiplication by this element on coefficient vectors."""
@@ -124,125 +137,6 @@ class AlgebraElement:
         return " + ".join(terms)
 
 
-class AlgebraMap:
-    """R-linear map between free R-modules, as a target_rank x source_rank
-    matrix of ring elements acting on column vectors."""
-
-    __slots__ = ("algebra", "entries")
-
-    def __init__(self, algebra: TruncatedPolyAlgebra, entries: np.ndarray):
-        # entries has shape (target_rank, source_rank, q)
-        self.algebra = algebra
-        entries = algebra.field.array(entries)
-        if entries.ndim != 3 or entries.shape[2] != algebra.q:
-            raise DimensionMismatch(f"bad entry tensor shape {entries.shape}")
-        self.entries = _frozen(entries)
-
-    @classmethod
-    def zero(cls, algebra: TruncatedPolyAlgebra, target_rank: int, source_rank: int) -> "AlgebraMap":
-        return cls(algebra, np.zeros((target_rank, source_rank, algebra.q), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, algebra: TruncatedPolyAlgebra, rank: int) -> "AlgebraMap":
-        e = np.zeros((rank, rank, algebra.q), dtype=np.int64)
-        for i in range(rank):
-            e[i, i, 0] = 1
-        return cls(algebra, e)
-
-    @classmethod
-    def from_element(cls, elem: AlgebraElement) -> "AlgebraMap":
-        """Rank-1 map: multiplication by a single ring element."""
-        return cls(elem.algebra, elem.coeffs.reshape(1, 1, -1))
-
-    @property
-    def target_rank(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def source_rank(self) -> int:
-        return self.entries.shape[1]
-
-    def entry(self, i: int, j: int) -> AlgebraElement:
-        return AlgebraElement(self.algebra, self.entries[i, j])
-
-    def is_zero(self) -> bool:
-        return not np.any(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraMap)
-            and self.algebra == other.algebra
-            and self.entries.shape == other.entries.shape
-            and bool(np.array_equal(self.entries, other.entries))
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, self.entries.shape, self.entries.tobytes()))
-
-    def __add__(self, other: "AlgebraMap") -> "AlgebraMap":
-        self._check_same_shape(other)
-        return AlgebraMap(self.algebra, (self.entries + other.entries) % self.algebra.p)
-
-    def __sub__(self, other: "AlgebraMap") -> "AlgebraMap":
-        self._check_same_shape(other)
-        return AlgebraMap(self.algebra, (self.entries - other.entries) % self.algebra.p)
-
-    def __neg__(self) -> "AlgebraMap":
-        return AlgebraMap(self.algebra, (-self.entries) % self.algebra.p)
-
-    def scale(self, c: int) -> "AlgebraMap":
-        return AlgebraMap(self.algebra, (self.entries * (int(c) % self.algebra.p)) % self.algebra.p)
-
-    def _check_same_shape(self, other: "AlgebraMap"):
-        if self.entries.shape != other.entries.shape:
-            raise DimensionMismatch(f"{self.entries.shape} vs {other.entries.shape}")
-
-    def compose(self, other: "AlgebraMap") -> "AlgebraMap":
-        """self after other (matrix product over R)."""
-        if self.source_rank != other.target_rank:
-            raise DimensionMismatch(
-                f"compose {self.entries.shape} after {other.entries.shape}"
-            )
-        q = self.algebra.q
-        t, s = self.target_rank, other.source_rank
-        out = np.zeros((t, s, q), dtype=np.int64)
-        for i in range(t):
-            for k in range(s):
-                acc = np.zeros(2 * q - 1, dtype=np.int64)
-                for j in range(self.source_rank):
-                    a = self.entries[i, j]
-                    b = other.entries[j, k]
-                    if a.any() and b.any():
-                        acc += np.convolve(a, b)
-                out[i, k] = acc[:q] % self.algebra.p
-        return AlgebraMap(self.algebra, out)
-
-    def flatten(self) -> np.ndarray:
-        """Underlying F_p-matrix, shape (q*target_rank, q*source_rank)."""
-        q = self.algebra.q
-        t, s = self.target_rank, self.source_rank
-        out = np.zeros((q * t, q * s), dtype=np.int64)
-        for i in range(t):
-            for j in range(s):
-                out[i * q:(i + 1) * q, j * q:(j + 1) * q] = self.entry(i, j).mult_matrix()
-        return out
-
-    def coords(self) -> np.ndarray:
-        """Coefficient vector of the map in the Hom-space basis, length t*s*q."""
-        return self.entries.reshape(-1).copy()
-
-    @classmethod
-    def from_coords(cls, algebra: TruncatedPolyAlgebra, target_rank: int,
-                    source_rank: int, coords: np.ndarray) -> "AlgebraMap":
-        return cls(algebra, np.asarray(coords, dtype=np.int64).reshape(
-            target_rank, source_rank, algebra.q))
-
-    def __repr__(self):
-        rows = [[repr(self.entry(i, j)) for j in range(self.source_rank)]
-                for i in range(self.target_rank)]
-        return f"AlgebraMap({rows})"
-
-
 class PeriodicResolution:
     """The period-2 truncated free resolution of the ground field over R.
 
@@ -263,8 +157,8 @@ class PeriodicResolution:
             raise InvalidParameter(f"length={length} must be >= 2")
         self.algebra = algebra
         self.length = length
-        self._mult_a = AlgebraMap.from_element(algebra.alpha(1))
-        self._mult_a_top = AlgebraMap.from_element(algebra.alpha(algebra.q - 1))
+        self._mult_a = algebra.alpha(1)
+        self._mult_a_top = algebra.alpha(algebra.q - 1)
         if not self._mult_a.compose(self._mult_a_top).is_zero():
             raise InvalidParameter("d o d != 0")
 

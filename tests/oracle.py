@@ -10,15 +10,13 @@ import numpy as np
 from ainfinity.endo_dga import HomologyClass
 from ainfinity.errors import NotACycle, TruncationTooShort
 from ainfinity.ff_linalg import SolveContext, rank_array, solve_array
-from ainfinity.resolution import AlgebraMap
 
 
 def random_endomorphism(algebra, rng, degree):
     res = algebra.resolution
     comps = {}
     for n in range(degree, res.length + 1):
-        shape = (1, 1, algebra.q)
-        comps[n] = AlgebraMap(res.algebra, rng.integers(0, algebra.p, size=shape))
+        comps[n] = res.algebra.element(rng.integers(0, algebra.p, size=algebra.q))
     return algebra.from_components(degree, comps)
 
 
@@ -39,7 +37,7 @@ def augmentation_scalar(algebra, f):
     aug = np.zeros((1, algebra.q), dtype=np.int64)
     aug[0, 0] = 1
     v = solve_array(aug, np.array([1], dtype=np.int64), algebra.p)
-    return int((aug @ (f.component(0).flatten() @ v))[0] % algebra.p)
+    return int((aug @ (f.component(0).mult_matrix() @ v))[0] % algebra.p)
 
 
 def flattened_class_of(algebra, f):

@@ -12,7 +12,7 @@ import numpy as np
 
 import oracle
 from conftest import SWEEP, computed_record
-from ainfinity.cli import default_truncation
+from ainfinity.cli import RunConfig, default_truncation, run
 from ainfinity.endo_dga import EndomorphismAlgebra, HomologyClass
 from ainfinity.kadeishvili import (AInfinityRecord, UNIT, X,
                                    first_complete_arity, insertion_sign,
@@ -22,8 +22,8 @@ from ainfinity.stasheff import verify_structure
 
 # recorded sign of m_q(x, ..., x) per sweep point: +1 always in
 # characteristic two; the odd-characteristic signs below are the values
-# this engine produces deterministically (either sign is acceptable,
-# stability is what matters)
+# this engine produces deterministically, and TestClosedForm checks that
+# they follow the closed form (-1)^(q(q+1)/2) of the paper section
 RECORDED_MQ_SIGN = {(2, 4): 1, (2, 8): 1, (3, 3): 1, (3, 9): 2, (5, 5): 4}
 
 
@@ -45,7 +45,7 @@ def _assert_x_tuple_pattern(rec, q, max_arity):
         # variable at even positions, zero at odd ones
         f = rec.f_table[(X,) * k]
         for n in f.position_range():
-            got = f.component(n).entry(0, 0)
+            got = f.component(n)
             if n % 2 == 0:
                 support = [i for i, c in enumerate(got.coeffs) if c]
                 assert support == [q - 1 - k]
@@ -74,10 +74,10 @@ class TestCriterion1:
         f3 = rec.f_table[(X,) * 3]
         for n in f2.position_range():
             expected = alg.alpha(1, coeff=-1) if n % 2 == 0 else alg.zero()
-            assert f2.component(n).entry(0, 0) == expected
+            assert f2.component(n) == expected
         for n in f3.position_range():
             expected = alg.scalar(-1) if n % 2 == 0 else alg.zero()
-            assert f3.component(n).entry(0, 0) == expected
+            assert f3.component(n) == expected
         assert rec.f_table[(X,) * 4].is_zero()
         assert summary.halted_at == 5
         assert elapsed < 5.0
@@ -259,3 +259,39 @@ class TestCriterion7:
         elapsed = time.perf_counter() - start
         report("criterion 7: periodicity certificates with exact expansion",
                True, f"{elapsed:.2f}s")
+
+
+class TestClosedForm:
+    """The whole pure-x structure in closed form, on a short window.
+
+    m_q(x, ..., x) = +-y is the classical answer for k[a]/(a^q) (see
+    Lu-Palmieri-Wu-Zhang, "A-infinity algebras for ring theorists",
+    2004); its sign and the homotopies f_n depend on the section (paper
+    or auto).  The engine never reads these laws, so they are an oracle
+    for it.
+    """
+
+    def test_closed_form(self):
+        start = time.perf_counter()
+        for p, q, section in itertools.product((3, 5, 7), range(3, 11), ("paper", "auto")):
+            result = run(RunConfig(p=p, q=q, max_arity=2 * q, f1_mode=section,
+                                   truncation=8, verify=True))
+            rec, case = result.record, (p, q, section)
+            assert result.report.passed and rec.halted_at == q + 1, case
+            # (-1)^(n(n+1)/2) in the paper section, (-1)^(n(n-1)/2) in auto
+            shift = 1 if section == "paper" else -1
+            sign = {n: (-1) ** (n * (n + shift) // 2) % p for n in range(2, q + 1)}
+            assert rec.resolve_product((X,) * q) == HomologyClass(2, (sign[q],)), case
+            alg = rec.algebra.resolution.algebra
+            for n in range(2, 2 * q + 1):
+                f = rec.resolve_map((X,) * n)
+                if n >= q:
+                    assert f.is_zero(), (case, n)
+                    continue
+                for pos in f.position_range():
+                    want = alg.alpha(q - 1 - n, sign[n]) if pos % 2 == 0 else alg.zero()
+                    assert f.component(pos) == want, (case, n, pos)
+        for (p, q), sign in RECORDED_MQ_SIGN.items():
+            assert sign == (-1) ** (q * (q + 1) // 2) % p, (p, q)
+        elapsed = time.perf_counter() - start
+        report("closed form of m_q and f_n on pure-x tuples", True, f"{elapsed:.2f}s")

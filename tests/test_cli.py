@@ -13,7 +13,6 @@ from ainfinity.cli import (RunConfig, default_truncation, dump_structure,
                            main, parse_element, parse_structure, run,
                            run_query, split_query)
 from ainfinity.errors import InvalidParameter, UnresolvableValue
-from ainfinity.kadeishvili import UNIT
 
 
 @pytest.fixture(scope="module")
@@ -150,12 +149,6 @@ def test_record_and_its_file_agree(p, q, mode, f1_mode):
         if len(names) < 2:
             continue
         key = tuple(next(iter(s.terms)) for s in slots)
-        shifted = (UNIT not in key and all(e for e, _ in key)
-                   and any(j for _, j in key) and len(key) < record.halted_at)
-        if f1_mode == "auto" and shifted:
-            with pytest.raises(UnresolvableValue):
-                run_query("map: " + expr, doc)
-            continue
         lines = run_query("map: " + expr, doc)
         value = record.resolve_map(key)
         if lines == ["0 (zero map)"]:
@@ -248,6 +241,16 @@ class TestMain:
         code = main(["--query", "product: x,x,x,x", "--output", str(out)])
         assert code == 0
         assert capsys.readouterr().out.strip() == "y"
+
+    def test_auto_file_answers_shifted_map_query(self, tmp_path, capsys):
+        # y's cocycle is the identity shift in both sections, so an auto
+        # file serves y-multiplied map entries by a degree shift
+        out = tmp_path / "structure.json"
+        assert main(["--p", "3", "--q", "3", "--f1", "auto", "--verify",
+                     "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["--query", "map: y*x, x", "--output", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("degree 3 (shifted by y^1)")
 
     def test_invalid_parameters_exit_one(self, capsys):
         assert main(["--p", "2", "--q", "2"]) == 1

@@ -5,10 +5,10 @@ import pytest
 
 import oracle
 from ainfinity.endo_dga import EndomorphismAlgebra
-from ainfinity.errors import (NotABoundary, NotACycle, NotPeriodic,
-                              TruncationTooShort)
+from ainfinity.errors import (DimensionMismatch, NotABoundary, NotACycle,
+                              NotPeriodic, TruncationTooShort)
 from ainfinity.ff_linalg import solve_array
-from ainfinity.resolution import AlgebraMap, build_cyclic_resolution
+from ainfinity.resolution import TruncatedPolyAlgebra, build_cyclic_resolution
 
 
 def make_algebra(p, q, length=24, f1_mode="paper"):
@@ -41,9 +41,9 @@ class TestDifferential:
             1, alg.alpha(q - 1 - m, coeff=-1), alg.zero())
         dh = algebra.differential(h)
         for n in range(2, res.length + 1):
-            lhs = dh.component(n).flatten()
-            rhs = (res.differential(n - 1).flatten() @ h.component(n).flatten()
-                   + h.component(n - 1).flatten() @ res.differential(n).flatten()) % p
+            lhs = dh.component(n).mult_matrix()
+            rhs = (res.differential(n - 1).mult_matrix() @ h.component(n).mult_matrix()
+                   + h.component(n - 1).mult_matrix() @ res.differential(n).mult_matrix()) % p
             assert np.array_equal(lhs, rhs)
 
     def test_cached_differential_matches_recomputation(self, algebra):
@@ -73,6 +73,14 @@ class TestDifferential:
                 assert lhs == rhs
 
 
+class TestComponents:
+    @pytest.mark.parametrize("p,q", [(5, 4), (3, 6)])
+    def test_component_of_another_ring_rejected(self, p, q):
+        algebra = make_algebra(3, 4)
+        with pytest.raises(DimensionMismatch):
+            algebra.from_components(1, {2: TruncatedPolyAlgebra(p, q).one()})
+
+
 class TestFlattenedCoordinates:
     """The window-global coordinates: f_n's q-vector at offset q*(n - g)."""
 
@@ -97,7 +105,7 @@ class TestCompose:
         assert square.degree == 4
         one = algebra.resolution.algebra.one()
         for n in square.position_range():
-            assert square.component(n).entry(0, 0) == one
+            assert square.component(n) == one
 
     def test_identity_neutral(self, algebra):
         rng = np.random.default_rng(3)
@@ -115,7 +123,7 @@ class TestCompose:
         square = algebra.compose(xi, xi)
         expected = alg.alpha(q - 2, coeff=-1)
         for n in square.position_range():
-            assert square.component(n).entry(0, 0) == expected
+            assert square.component(n) == expected
 
     def test_eta_commutes_with_periodic_maps(self, algebra):
         # literal component equality, not just up to homotopy
@@ -219,18 +227,17 @@ def reference_nullhomotopy(algebra, f):
 
     def op(k):
         # composing with d_k on either side multiplies by it (R is commutative)
-        return res.differential(k).flatten()
+        return res.differential(k).mult_matrix()
 
     n0 = g + 1
     joint = np.concatenate([(-sign * op(n0)) % p, op(1)], axis=1)
-    x = solve_array(joint, f.component(n0).coords(), p)
-    comps = {g: AlgebraMap.from_coords(res.algebra, 1, 1, x[:q]),
-             n0: AlgebraMap.from_coords(res.algebra, 1, 1, x[q:])}
+    x = solve_array(joint, f.component(n0).coeffs, p)
+    comps = {g: res.algebra.element(x[:q]), n0: res.algebra.element(x[q:])}
     prev = x[q:]
     for n in range(n0 + 1, res.length + 1):
-        rhs = (f.component(n).coords() + sign * (op(n) @ prev)) % p
+        rhs = (f.component(n).coeffs + sign * (op(n) @ prev)) % p
         x = solve_array(op(n - g), rhs, p)
-        comps[n] = AlgebraMap.from_coords(res.algebra, 1, 1, x)
+        comps[n] = res.algebra.element(x)
         prev = x
     return algebra.from_components(g, comps)
 
@@ -274,7 +281,7 @@ class TestNullhomotopy:
         h = algebra.nullhomotopy(square)
         for n in h.position_range():
             expected = alg.alpha(1, coeff=-1) if n % 2 == 0 else alg.zero()
-            assert h.component(n).entry(0, 0) == expected
+            assert h.component(n) == expected
 
     def test_roundtrip_randomized(self, algebra):
         rng = np.random.default_rng(17)
@@ -306,9 +313,8 @@ class TestPeriodicCompact:
     def test_perturbed_component_rejected(self, algebra):
         res = algebra.resolution
         alg = res.algebra
-        comps = {n: AlgebraMap.from_element(alg.one())
-                 for n in range(2, res.length + 1)}
-        comps[5] = AlgebraMap.from_element(alg.alpha(1))
+        comps = {n: alg.one() for n in range(2, res.length + 1)}
+        comps[5] = alg.alpha(1)
         f = algebra.from_components(2, comps)
         with pytest.raises(NotPeriodic):
             algebra.periodic_compact(f)

@@ -125,7 +125,6 @@ class TestAlternativeChoices:
 class TestPsiCycleGuard:
     def test_corrupted_memo_raises(self):
         from ainfinity.errors import PsiNotCycle
-        from ainfinity.resolution import AlgebraMap
         base, _ = computed_record(2, 4, max_arity=4)
         rec = AInfinityRecord(base.algebra, mode="reduced")
         rec.compute_structure(3)
@@ -133,7 +132,7 @@ class TestPsiCycleGuard:
         value = rec.f_table[(X, X)]
         alg = rec.algebra.resolution.algebra
         junk = dict(value.components)
-        junk[6] = AlgebraMap.from_element(alg.one())
+        junk[6] = alg.one()
         rec.f_table[(X, X)] = rec.algebra.from_components(1, junk)
         with pytest.raises(PsiNotCycle):
             rec.obstruction((X, X, X))
