@@ -114,9 +114,11 @@ def split_query(expr: str) -> tuple[str, list[str]]:
         raise InvalidParameter(
             f"cannot parse query {expr!r}; expected 'product: a,b,...' or 'map: a,b,...'")
     kind, rest = m.group(1), m.group(2)
-    slots = [s for s in (part.strip() for part in rest.split(",")) if s]
-    if not slots:
+    if not rest:
         raise InvalidParameter("query needs at least one tuple entry")
+    slots = [part.strip() for part in rest.split(",")]
+    if not all(slots):
+        raise InvalidParameter(f"empty tuple entry in query {expr!r}")
     return kind, slots
 
 
@@ -434,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="highest arity to compute (default 2q)")
     parser.add_argument("--mode", choices=["reduced", "brute-force"], default="reduced")
     parser.add_argument("--f1", choices=["paper", "auto"], default="paper",
-                        help="cycle-choosing section: pinned generators or echelon")
+                        help="cycle-choosing section: pinned or echelonized generators")
     parser.add_argument("--truncation", type=int, default=None,
                         help="override the default resolution length")
     parser.add_argument("--verify", action="store_true",

@@ -15,7 +15,7 @@ prime field, locally wherever the resolution allows it:
 * the cyclic resolution is minimal (its differentials are a and
   a^(q-1)), so Ext^g = Hom(X_g, k) and the class of a degree-g cycle is
   the a^0 coefficient of its bottom component f_g divided by that of the
-  basis representative (in degree 0 the identity, whose coefficient is 1);
+  degree's representative (in degree 0 the identity, whose coefficient is 1);
 * nullhomotopies are solved position by position from the bottom of the
   truncation upward, always taking the canonical solution (free
   coordinates zero).  Above the joint bottom equation the per-position
@@ -23,21 +23,25 @@ prime field, locally wherever the resolution allows it:
   position mod period) is cached on the algebra.  On periodic input
   this reproduces the periodic homotopies of the cyclic resolution on
   the nose;
-* the degree-1 homology generator is represented by the cocycle with
-  component (-1)^n * a^(q-2) at even positions n and (-1)^n * 1 at odd
-  positions, and the degree-2 generator by the all-identity shift.  In characteristic two these are the classical
+* Ext is exterior(x) (x) k[y], one-dimensional in every degree and
+  generated in degrees 1 and 2, so a section is a choice of two
+  generators and every other representative is a composite of them
+  (`homology_basis`).  The "paper" section pins the degree-1 generator
+  to the cocycle with component (-1)^n * a^(q-2) at even positions n and
+  (-1)^n * 1 at odd positions, and the degree-2 generator to the
+  all-identity shift.  In characteristic two these are the classical
   alternating (a^(q-2), 1) and (1, 1) pictures; in odd characteristic
   the sign alternation is forced by D f = d f + f d on degree-1 maps.
 
 Every module is R, so a component is one ring element.  The flattened
 path -- window-global coordinate vectors, the degree-g element's
 components as q-vectors laid end to end (f_n at offset q*(n - g)), and
-the differential as a matrix on them (`d_matrix`) -- checks each basis
-representative once per degree and builds the "auto" echelon
-representatives.  The flattened class read and dimension count live
-with the tests (tests/oracle.py).
+the differential as a matrix on them (`d_matrix`) -- checks each built
+representative once per degree and echelonizes the "auto" generators.
+The flattened class read and dimension count live with the tests
+(tests/oracle.py).
 
-Caches: homology bases per degree and the per-parity homotopy operators,
+Caches: one representative per degree and the per-parity homotopy operators,
 both filled behind a lock.  All cached values are immutable after
 construction, so concurrent readers need no further coordination.
 """
@@ -191,9 +195,9 @@ class CompactForm:
 class EndomorphismAlgebra:
     """End_R(X) for the truncated cyclic resolution X, with exact homology.
 
-    `f1_mode` selects the cycle-choosing section used by `homology_basis`:
-    "paper" pins the generators described in the module docstring, "auto"
-    echelonizes the cycle space against the boundaries.
+    `f1_mode` selects the degree-1 and degree-2 generators that
+    `homology_basis` composes: "paper" pins those described in the module
+    docstring, "auto" echelonizes the cycles against the boundaries.
     """
 
     #: extra positions beyond the requested degree that homology-level
@@ -207,7 +211,7 @@ class EndomorphismAlgebra:
         self.f1_mode = f1_mode
         self._lock = threading.Lock()
         self._homotopy_ops: dict[tuple, tuple] = {}
-        self._basis: dict[int, list] = {}
+        self._basis: dict[int, GradedEndomorphism] = {}
 
     # ----- basic constructors -------------------------------------------------
 
@@ -281,14 +285,6 @@ class EndomorphismAlgebra:
                 comps[n] = fm.compose(gn)
         return GradedEndomorphism(self, f.degree + g.degree, comps)
 
-    def power(self, f: GradedEndomorphism, e: int) -> GradedEndomorphism:
-        if e == 0:
-            return self.identity()
-        out = f
-        for _ in range(e - 1):
-            out = self.compose(out, f)
-        return out
-
     # ----- flattened coordinates ----------------------------------------------
 
     def _size(self, degree: int) -> int:
@@ -341,41 +337,48 @@ class EndomorphismAlgebra:
                 f"homology in degree {degree} needs window length >= "
                 f"{degree + margin + 1}, have {self.resolution.length}")
 
-    def homology_basis(self, degree: int) -> list:
-        """Ordered [(HomologyClass, representative)] for the given degree.
+    def homology_basis(self, degree: int) -> GradedEndomorphism:
+        """The representative cycle of the degree's one homology class.
 
-        In "paper" mode degree 2j+e is represented by x_rep^e o y_rep^j
-        (identity in degree 0); "auto" mode echelonizes cycles against
-        boundaries; each representative is checked to be a cycle.
+        Ext is exterior(x) (x) k[y]: one-dimensional in every degree and
+        generated in degrees 1 and 2, so the section chooses only those two
+        generators ("paper": `rep_x` and `rep_y`; "auto": the one cycle
+        `_echelon_reps` leaves).  Degree 0 is the identity, and degree
+        g >= 3 is rep(2 - e) o rep(g - 2 + e) with e = g mod 2, which is
+        x^e o y^j built from the cached lower degrees.
         """
         with self._lock:
-            cached = self._basis.get(degree)
-            if cached is None:
-                self._require_window(degree)
-                reps = self._build_reps(degree)
-                cached = [(HomologyClass(degree, tuple(int(i == k) for i in range(len(reps)))),
-                           rep) for k, rep in enumerate(reps)]
-                self._basis[degree] = cached
-        return cached
+            return self._representative(degree)
 
-    def _build_reps(self, degree: int) -> list:
+    def _representative(self, degree: int) -> GradedEndomorphism:
+        # the caller holds the lock, which is not reentrant: the recursion
+        # into lower degrees stays below `homology_basis`
+        rep = self._basis.get(degree)
+        if rep is not None:
+            return rep
+        self._require_window(degree)
         if degree == 0:
-            return [self.identity()]
-        dmat = self.d_matrix(degree)
-        if self.f1_mode == "paper":
-            rep = self.power(self.rep_y(), degree // 2)
-            if degree % 2:
-                rep = self.compose(self.rep_x(), rep)
-            reps = [rep]
+            rep = self.identity()
+        elif degree >= 3:
+            e = degree % 2
+            rep = self.compose(self._representative(2 - e),
+                               self._representative(degree - 2 + e))
+        elif self.f1_mode == "paper":
+            rep = self.rep_x() if degree == 1 else self.rep_y()
         else:
-            reps = self._echelon_reps(degree, dmat)
-        p = self.p
-        for rep in reps:
-            if np.any((dmat @ self.coords_of(rep)) % p):
-                raise NotACycle(f"degree-{degree} representative is not a cycle")
-        return reps
+            reps = self._echelon_reps(degree, self.d_matrix(degree))
+            if len(reps) != 1:
+                raise TruncationTooShort(
+                    f"degree {degree}: {len(reps)} echelon generators on the cyclic "
+                    "resolution; the truncation window is unstable")
+            rep = reps[0]
+        if degree and np.any((self.d_matrix(degree) @ self.coords_of(rep)) % self.p):
+            raise NotACycle(f"degree-{degree} representative is not a cycle")
+        self._basis[degree] = rep
+        return rep
 
     def _echelon_reps(self, degree: int, dmat: np.ndarray) -> list:
+        """Cycles echelonized against the boundaries, one per homology dimension."""
         p = self.p
         cycles = kernel_basis_array(dmat, p)
         if not cycles:
@@ -403,13 +406,8 @@ class EndomorphismAlgebra:
         self._require_window(g)
         if not f.differential().is_zero():
             raise NotACycle(f"degree-{g} element has nonzero differential")
-        basis = self.homology_basis(g)
-        if len(basis) != 1:
-            raise TruncationTooShort(
-                f"degree {g}: {len(basis)} representatives on the cyclic resolution; "
-                "the truncation window is unstable")
         p = self.p
-        lead = int(basis[0][1].component(g).coeffs[0])
+        lead = int(self.homology_basis(g).component(g).coeffs[0])
         if lead == 0:
             raise TruncationTooShort(
                 f"degree {g}: representative has no a^0 term at the bottom; "

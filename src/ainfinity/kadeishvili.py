@@ -38,7 +38,6 @@ reduced mode is tested against.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 
 from .endo_dga import EndomorphismAlgebra, GradedEndomorphism, HomologyClass
@@ -93,9 +92,7 @@ class HElement:
 
     @classmethod
     def from_class(cls, p: int, value: HomologyClass) -> "HElement":
-        if len(value.coords) > 1:
-            raise InvalidParameter("expected a one-dimensional homology degree")
-        if not value.coords or value.coords[0] == 0:
+        if value.is_zero():
             return cls(p)
         return cls(p, {monomial_of_degree(value.degree): value.coords[0]})
 
@@ -266,7 +263,6 @@ def first_complete_arity(flags: dict, computed) -> int | None:
 class StructureSummary:
     p: int
     q: int
-    mode: str
     f1_mode: str
     truncation: int
     computed_arities: list
@@ -275,7 +271,6 @@ class StructureSummary:
     halted_at: int | None
     mq_sign: int | None
     periodic_arities: list
-    elapsed: float
 
     @property
     def status(self) -> str:
@@ -312,19 +307,10 @@ class AInfinityRecord:
 
     def f1(self, mono: Monomial) -> GradedEndomorphism:
         """Representative cocycle of a basis monomial (the identity for 1)."""
-        basis = self.algebra.homology_basis(monomial_degree(mono))
-        if len(basis) != 1:
-            raise InvalidParameter(
-                f"degree {monomial_degree(mono)} homology is not one-dimensional")
-        return basis[0][1]
+        return self.algebra.homology_basis(monomial_degree(mono))
 
     def f1_of_class(self, value: HomologyClass) -> GradedEndomorphism:
-        basis = self.algebra.homology_basis(value.degree)
-        out = self.algebra.zero(value.degree)
-        for coeff, (_, rep) in zip(value.coords, basis):
-            if coeff:
-                out = out + rep.scale(coeff)
-        return out
+        return self.algebra.homology_basis(value.degree).scale(value.coords[0])
 
     def zeta_power(self, e: int) -> GradedEndomorphism:
         if e == 0:
@@ -419,8 +405,6 @@ class AInfinityRecord:
                 inner = self.resolve_product(key[term.k:term.k + term.j])
                 if inner.is_zero():
                     continue
-                if len(inner.coords) != 1:
-                    raise InvalidParameter("inner class degree is not one-dimensional")
                 mono = monomial_of_degree(inner.degree)
                 outer = key[:term.k] + (mono,) + key[term.k + term.j:]
                 value = self.resolve_map(outer).scale(inner.coords[0])
@@ -527,8 +511,9 @@ class AInfinityRecord:
         """(m value, f value) on a tuple of ring elements, by multilinear
         expansion over the monomial basis.
 
-        Each slot must be homogeneous.  The product comes back as a formal
-        combination, the map as a single endomorphism.
+        Each slot must be homogeneous, over monomials x^e y^j with e in
+        {0, 1} and j >= 0.  The product comes back as a formal combination,
+        the map as a single endomorphism.
         """
         p = self.algebra.p
         slots = [self._as_element(el) for el in elements]
@@ -548,12 +533,12 @@ class AInfinityRecord:
         return m_acc, f_acc
 
     def _as_element(self, el) -> HElement:
-        p = self.algebra.p
-        if isinstance(el, HElement):
-            return el
         if isinstance(el, tuple) and len(el) == 2 and all(isinstance(v, int) for v in el):
-            return HElement.monomial(p, el)
-        raise InvalidParameter(f"cannot interpret {el!r} as a ring element")
+            el = HElement.monomial(self.algebra.p, el)
+        if not isinstance(el, HElement):
+            raise InvalidParameter(f"cannot interpret {el!r} as a ring element")
+        self._accept_key(el.terms)
+        return el
 
     def recheck(self) -> bool:
         """Re-verify D f = Psi - f_1(m) on every memo entry."""
@@ -569,12 +554,10 @@ class AInfinityRecord:
         certifying each arity in reduced mode."""
         if max_arity < 2:
             raise InvalidParameter("max arity must be at least 2")
-        start = time.perf_counter()
         for n in range(2, max_arity + 1):
             if self.halted_at is not None and n >= self.halted_at:
                 break
             self.compute_arity(n)
-        elapsed = time.perf_counter() - start
         products = sorted(
             ((k, v) for k, v in self.m_table.items() if not v.is_zero()),
             key=lambda kv: (len(kv[0]), kv[0]))
@@ -588,7 +571,7 @@ class AInfinityRecord:
             mq_sign = int(mq.coords[0])
         res = self.algebra.resolution
         return StructureSummary(
-            p=self.algebra.p, q=q, mode=self.mode, f1_mode=self.algebra.f1_mode,
+            p=self.algebra.p, q=q, f1_mode=self.algebra.f1_mode,
             truncation=res.length,
             computed_arities=sorted(self.computed_arities),
             nonzero_products=products,
@@ -596,5 +579,4 @@ class AInfinityRecord:
             halted_at=self.halted_at,
             mq_sign=mq_sign,
             periodic_arities=sorted(self.certificates),
-            elapsed=elapsed,
         )

@@ -58,8 +58,6 @@ def check_structure(record: AInfinityRecord, n: int, key) -> HomologyClass:
             inner = record.resolve_product(key[r:r + s])
             if inner.is_zero():
                 continue
-            if len(inner.coords) != 1:
-                raise InvalidParameter("inner class degree is not one-dimensional")
             mono = monomial_of_degree(inner.degree)
             outer = key[:r] + (mono,) + key[r + s:]
             value = record.resolve_product(outer)

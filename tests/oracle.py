@@ -42,7 +42,7 @@ def augmentation_scalar(algebra, f):
 
 def flattened_class_of(algebra, f):
     """Class coordinates by a canonical solve against the window-global
-    [representatives | boundary operator] matrix."""
+    [representative | boundary operator] matrix."""
     g = f.degree
     algebra._require_window(g)
     v = algebra.coords_of(f)
@@ -50,11 +50,11 @@ def flattened_class_of(algebra, f):
         raise NotACycle(f"degree-{g} element has nonzero differential")
     if g == 0:
         return HomologyClass(0, (augmentation_scalar(algebra, f),))
-    reps = [algebra.coords_of(rep) for _, rep in algebra.homology_basis(g)]
-    solver = SolveContext(np.column_stack(reps + [algebra.d_matrix(g - 1)]), algebra.p)
-    if solver.pivots[:len(reps)] != list(range(len(reps))):
-        raise TruncationTooShort(f"degree {g}: a representative is a boundary")
+    rep = algebra.coords_of(algebra.homology_basis(g))
+    solver = SolveContext(np.column_stack([rep, algebra.d_matrix(g - 1)]), algebra.p)
+    if solver.pivots[:1] != [0]:
+        raise TruncationTooShort(f"degree {g}: the representative is a boundary")
     x = solver.solve(v)
     if x is None:
-        raise TruncationTooShort(f"degree {g}: cycle outside representatives and boundaries")
-    return HomologyClass(g, tuple(int(c) for c in x[:len(reps)]))
+        raise TruncationTooShort(f"degree {g}: cycle outside representative and boundaries")
+    return HomologyClass(g, (int(x[0]),))

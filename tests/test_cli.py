@@ -81,8 +81,9 @@ class TestStructureFile:
 
 
 # sha256 of dump_structure(run(...).document) at max_arity 2q with --verify,
-# recorded before the homology path went local; a change that moves any
-# byte of a structure file on the sweep shows here
+# recorded before the homology path went local (brute-force "auto": before
+# its representatives above degree 2 were composed from the generators); a
+# change that moves any byte of a structure file on the sweep shows here
 GOLDEN_DIGESTS = {
     (2, 4, "reduced", "paper"): "afbbcdb7592cd31a1d2d762ff252d3af6c88ef71f4447643c63a7954a9907cba",
     (2, 8, "reduced", "paper"): "8f1cef6d2c610c34886639d2d701c964961a853f1da5ac74f55951129fe92932",
@@ -99,6 +100,11 @@ GOLDEN_DIGESTS = {
     (3, 3, "reduced", "auto"): "2ae67913d62d359f55bacb4aec8752931b325b1ff04ccc4b87a5cbd7b1fc1fc9",
     (3, 9, "reduced", "auto"): "9048060aed363d2094027a5ebec3af3f34e7311d4150e01cea874670a7452725",
     (5, 5, "reduced", "auto"): "24eebffd82f6e5fe73bbf247c88a4c7afd4bbd274d04a54a33749004dcf2d0ec",
+    (2, 4, "brute-force", "auto"): "6f1038a18ea0376f4193a0892199719e17a115196b45c3de5e0b61ecdb114118",
+    (2, 8, "brute-force", "auto"): "fc6739613f3ae098a79317d09146a4cb86d4402c75a3d1556150f4332f508c56",
+    (3, 3, "brute-force", "auto"): "edeb879d228f0729af4540d1d4f206ee4ea6d8acffee6619772316fdc0a20458",
+    (3, 9, "brute-force", "auto"): "44796de84ecb64f026c4289c341d2a3e7f699772569d224e7ae1854a00c91d83",
+    (5, 5, "brute-force", "auto"): "d8e0453c27cf8f5c9eedc39fa92f8f4e782eb3a1ebb88404c1dc2982acc16cd1",
 }
 
 
@@ -251,6 +257,18 @@ class TestMain:
         capsys.readouterr()
         assert main(["--query", "map: y*x, x", "--output", str(out)]) == 0
         assert capsys.readouterr().out.startswith("degree 3 (shifted by y^1)")
+
+    @pytest.mark.parametrize("query", ["product: x,,x,x", "product: x,x,x,",
+                                       "map: ,x,x"])
+    def test_empty_query_entry_exit_one(self, query, tmp_path, capsys):
+        # dropping the empty entry answered the arity-3 value, y
+        out = tmp_path / "structure.json"
+        assert main(["--p", "3", "--q", "3", "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["--query", query, "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error:") and "empty tuple entry" in captured.err
 
     def test_invalid_parameters_exit_one(self, capsys):
         assert main(["--p", "2", "--q", "2"]) == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
-from ainfinity.endo_dga import EndomorphismAlgebra
+from ainfinity.endo_dga import EndomorphismAlgebra, HomologyClass
 from ainfinity.errors import (DimensionMismatch, NotABoundary, NotACycle,
                               NotPeriodic, TruncationTooShort)
 from ainfinity.ff_linalg import solve_array
@@ -134,22 +134,24 @@ class TestCompose:
 
 class TestHomology:
     def test_degree_zero_is_identity_class(self, algebra):
-        basis = algebra.homology_basis(0)
-        assert len(basis) == 1
-        assert basis[0][1] == algebra.identity()
+        assert algebra.homology_basis(0) == algebra.identity()
 
     def test_degree_one_and_two_representatives(self, algebra):
-        b1 = algebra.homology_basis(1)
-        b2 = algebra.homology_basis(2)
-        assert len(b1) == oracle.homology_dimension(algebra, 1)
-        assert len(b2) == oracle.homology_dimension(algebra, 2)
-        assert b1[0][1] == algebra.rep_x()
-        assert b2[0][1] == algebra.rep_y()
+        assert algebra.homology_basis(1) == algebra.rep_x()
+        assert algebra.homology_basis(2) == algebra.rep_y()
+
+    def test_higher_representatives_are_x_e_y_j(self, algebra):
+        xi, eta = algebra.rep_x(), algebra.rep_y()
+        y_power = algebra.identity()
+        for j in range(0, 4):
+            assert algebra.homology_basis(2 * j) == y_power
+            assert algebra.homology_basis(2 * j + 1) == algebra.compose(xi, y_power)
+            y_power = algebra.compose(eta, y_power)
 
     def test_dimensions_are_one(self, algebra):
+        # the one representative per degree rests on this
         for degree in range(0, 7):
             assert oracle.homology_dimension(algebra, degree) == 1
-            assert len(algebra.homology_basis(degree)) == 1
 
     def test_class_of_generators(self, algebra):
         assert algebra.class_of(algebra.rep_x()).coords == (1,)
@@ -180,8 +182,8 @@ class TestHomology:
 
     def test_section_property(self, algebra):
         for degree in range(0, 6):
-            cls, rep = algebra.homology_basis(degree)[0]
-            assert algebra.class_of(rep) == cls
+            rep = algebra.homology_basis(degree)
+            assert algebra.class_of(rep) == HomologyClass(degree, (1,))
 
     def test_not_a_cycle_raises(self, algebra):
         rng = np.random.default_rng(5)
@@ -206,7 +208,7 @@ class TestLocalClassRead:
         algebra = make_algebra(p, q, length=16, f1_mode=f1_mode)
         rng = np.random.default_rng(1000 * p + q)
         for degree in range(0, 8):
-            rep = algebra.homology_basis(degree)[0][1]
+            rep = algebra.homology_basis(degree)
             for _ in range(3):
                 c = int(rng.integers(0, p))
                 f = rep.scale(c)
@@ -216,6 +218,32 @@ class TestLocalClassRead:
                 local = algebra.class_of(f)
                 assert local == oracle.flattened_class_of(algebra, f)
                 assert local.coords == (c,)
+
+
+class TestAutoSection:
+    """"auto" echelonizes only the two generators and composes the rest;
+    the echelon construction in every degree stays the reference."""
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_composites_match_the_echelon_reference(self, p, q):
+        length = 14
+        auto = make_algebra(p, q, length=length, f1_mode="auto")
+        paper = make_algebra(p, q, length=length)
+        for degree in range(1, length - 4):
+            rep = auto.homology_basis(degree)
+            assert auto._echelon_reps(degree, auto.d_matrix(degree)) == [rep], degree
+            # "auto" is "paper" with x -> -x
+            assert rep == paper.homology_basis(degree).scale((-1) ** degree), degree
+
+    def test_two_echelon_generators_raise(self, monkeypatch):
+        algebra = make_algebra(3, 3, length=14, f1_mode="auto")
+        cycles = [algebra.rep_x(), algebra.rep_x().scale(2)]
+        monkeypatch.setattr(algebra, "_echelon_reps", lambda degree, dmat: cycles)
+        with pytest.raises(TruncationTooShort, match="2 echelon generators"):
+            algebra.homology_basis(1)
+        # the failed build left the lock free
+        assert algebra.homology_basis(0) == algebra.identity()
 
 
 def reference_nullhomotopy(algebra, f):
@@ -261,7 +289,7 @@ class TestNullhomotopy:
         algebra = make_algebra(p, q, length=16, f1_mode=f1_mode)
         rng = np.random.default_rng(100 * p + q)
         for degree in range(1, 8):
-            rep = algebra.homology_basis(degree)[0][1]
+            rep = algebra.homology_basis(degree)
             for c in range(1, p):
                 h = oracle.random_endomorphism(algebra, rng, degree - 1)
                 with pytest.raises(NotABoundary):

@@ -175,6 +175,14 @@ class TestLinearExtension:
         with pytest.raises(InvalidParameter):
             rec.extend_linear([mixed, X])
 
+    @pytest.mark.parametrize("slot", [(2, 0), (1, -1), HElement(3, {(2, 0): 1})])
+    def test_slot_outside_the_monomial_basis_rejected(self, record_3_3, slot):
+        # x^2 = 0 and a negative y-power are no basis monomials: (2, 0) read
+        # as x*x gave m = y, and (1, -1) ended in a differential index error
+        rec, _ = record_3_3
+        with pytest.raises(InvalidParameter, match="bad monomial"):
+            rec.extend_linear([slot, X, X])
+
     def test_gate_requires_certificate_or_commutation(self, record_2_4):
         # the certificate is the commutation check, so it alone opens the gate
         rec, _ = record_2_4
@@ -274,9 +282,7 @@ class TestCertification:
 
         def scaled(degree):
             found = basis(degree)
-            if degree != 2:
-                return found
-            return [(cls, rep.scale(2)) for cls, rep in found]
+            return found.scale(2) if degree == 2 else found
 
         monkeypatch.setattr(algebra, "homology_basis", scaled)
         rec = AInfinityRecord(algebra, mode="reduced")
@@ -382,9 +388,7 @@ class TestConcurrency:
         def reader():
             try:
                 for degree in range(0, 6):
-                    basis = algebra.homology_basis(degree)
-                    assert len(basis) == 1
-                    cls = algebra.class_of(basis[0][1])
+                    cls = algebra.class_of(algebra.homology_basis(degree))
                     assert cls.coords == (1,)
                 for b, want in zip(boundaries, expected):
                     assert algebra.nullhomotopy(b).components == want
@@ -403,7 +407,7 @@ class TestConcurrency:
         finally:
             sys.setswitchinterval(interval)
         assert not errors
-        # one shared basis object per degree
+        # one shared representative per degree
         for degree in range(0, 6):
             assert algebra.homology_basis(degree) is algebra.homology_basis(degree)
 
@@ -422,3 +426,22 @@ class TestAutoMode:
         assert summary.halted_at == 4
         m3 = rec.m_table[(X,) * 3]
         assert m3.degree == 2 and not m3.is_zero()
+
+    def test_auto_echelonizes_only_the_generators(self, monkeypatch):
+        # representatives above degree 2, which y-multiplied values reach
+        # through zeta powers, are composites of the two generators
+        algebra = EndomorphismAlgebra(build_cyclic_resolution(3, 3, 28), f1_mode="auto")
+        echelon = algebra._echelon_reps
+        degrees = []
+
+        def recording(degree, dmat):
+            degrees.append(degree)
+            return echelon(degree, dmat)
+
+        monkeypatch.setattr(algebra, "_echelon_reps", recording)
+        rec = AInfinityRecord(algebra, mode="reduced")
+        rec.compute_structure(6)
+        for slots in ([(1, 1), X, X], [(1, 2), (1, 1), X], [(1, 3)]):
+            rec.extend_linear(slots)
+        assert max(algebra._basis) == 7
+        assert sorted(degrees) == [1, 2]
