@@ -9,12 +9,15 @@ byte-reproducible across runs with the same configuration.
 
 Queries evaluate tuples of ring elements (written over the generators
 1, x, y with scalar coefficients, e.g. "product: y*x, x, x, x") by
-linear extension from the stored basis values.
+linear extension from the stored basis values.  A document is keyed
+once, on its first query, and reused by every later one; treat it as
+read-only once it has been queried.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -24,8 +27,8 @@ from pathlib import Path
 from .endo_dga import EndomorphismAlgebra
 from .errors import AInfinityError, InvalidParameter, UnresolvableValue
 from .ff_linalg import PrimeField
-from .kadeishvili import (AInfinityRecord, HElement, StructureSummary, UNIT,
-                          X, locate, monomial_degree, monomial_name,
+from .kadeishvili import (AInfinityRecord, HElement, Monomial, StructureSummary,
+                          UNIT, X, locate, monomial_degree, monomial_name,
                           monomial_of_degree, monomial_terms, ring_product)
 from .resolution import build_cyclic_resolution
 from .stasheff import verify_structure
@@ -64,7 +67,7 @@ class RunResult:
     record: AInfinityRecord
     summary: StructureSummary
     report: object | None
-    document: dict
+    document: StructureDocument
     exit_code: int
     lines: list
 
@@ -74,37 +77,51 @@ class RunResult:
 _FACTOR_RE = re.compile(r"^(?:(\d+)|x(?:\^(\d+))?|y(?:\^(\d+))?)$")
 
 
+@functools.lru_cache(maxsize=1024)
+def _parse_term(term: str) -> tuple[Monomial, int] | None:
+    """(monomial, signed integer coefficient) of one term such as
+    '-2*y^2*x', or None when it vanishes (x^2 = 0 in the cohomology ring).
+
+    Pure in its text, so memoized: queries repeat the same few terms.  A
+    bad factor raises, and lru_cache does not store raised exceptions."""
+    sign = 1
+    if term.startswith("-"):
+        sign = -1
+        term = term[1:].strip()
+    coeff, e, j = 1, 0, 0
+    for factor in term.split("*"):
+        factor = factor.strip()
+        m = _FACTOR_RE.match(factor)
+        if not m:
+            raise InvalidParameter(f"cannot parse factor {factor!r}")
+        if m.group(1) is not None:
+            coeff *= int(m.group(1))
+        elif factor.startswith("x"):
+            e += int(m.group(2)) if m.group(2) else 1
+        else:
+            j += int(m.group(3)) if m.group(3) else 1
+    if e >= 2:
+        return None
+    return (e, j), sign * coeff
+
+
 def parse_element(text: str, p: int) -> HElement:
     """Parse a sum of scalar-weighted monomials in x and y."""
     text = text.strip()
     if not text:
         raise InvalidParameter("empty element expression")
-    normalized = text.replace("-", "+-")
     terms = {}
-    for chunk in normalized.split("+"):
+    for chunk in text.replace("-", "+-").split("+"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        sign = 1
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:].strip()
-        coeff, e, j = 1, 0, 0
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            m = _FACTOR_RE.match(factor)
-            if not m:
-                raise InvalidParameter(f"cannot parse factor {factor!r} in {text!r}")
-            if m.group(1) is not None:
-                coeff *= int(m.group(1))
-            elif factor.startswith("x"):
-                e += int(m.group(2)) if m.group(2) else 1
-            else:
-                j += int(m.group(3)) if m.group(3) else 1
-        if e >= 2:
-            continue  # x^2 = 0 in the cohomology ring
-        mono = (e, j)
-        terms[mono] = terms.get(mono, 0) + sign * coeff
+        try:
+            term = _parse_term(chunk)
+        except InvalidParameter as exc:
+            raise InvalidParameter(f"{exc} in {text!r}") from None
+        if term is not None:
+            mono, coeff = term
+            terms[mono] = terms.get(mono, 0) + coeff
     return HElement(p, terms)
 
 
@@ -132,7 +149,7 @@ def _monomial_listing(record: AInfinityRecord) -> list:
 
 
 def serialize_structure(record: AInfinityRecord, summary: StructureSummary,
-                        report, config: RunConfig) -> dict:
+                        report, config: RunConfig) -> StructureDocument:
     listing = _monomial_listing(record)
     index = {mono: i for i, mono in enumerate(listing)}
     basis = [{"index": i, "name": monomial_name(m), "eps": m[0], "ypow": m[1],
@@ -172,7 +189,7 @@ def serialize_structure(record: AInfinityRecord, summary: StructureSummary,
 
     halting = ({"status": "complete", "arity": summary.halted_at}
                if summary.halted_at is not None else {"status": "open"})
-    doc = {
+    return StructureDocument({
         "format": FORMAT_NAME,
         "header": {
             "p": summary.p,
@@ -196,8 +213,7 @@ def serialize_structure(record: AInfinityRecord, summary: StructureSummary,
             "first_failure": (str(report.first_failure)
                               if report.first_failure else None),
         } if report is not None else {"enabled": False}),
-    }
-    return doc
+    })
 
 
 def dump_structure(doc: dict) -> str:
@@ -214,7 +230,7 @@ _ENTRY_FIELDS = {"products": {"degree": int, "coords": list},
                  "maps": {"degree": int, "period": int, "base": int, "components": list}}
 
 
-def parse_structure(text: str) -> dict:
+def parse_structure(text: str) -> StructureDocument:
     """Parse a structure file; any field the query reader uses that is
     missing or mistyped raises InvalidParameter naming it."""
     try:
@@ -273,7 +289,7 @@ def parse_structure(text: str) -> dict:
         coords = entry["coords"]
         if not (len(coords) == 1 and type(coords[0]) is int and 0 <= coords[0] < p):
             _bad(f"'products' entry 'coords' (one integer in [0, {p}))", coords)
-    return doc
+    return StructureDocument(doc)
 
 
 class DocTable:
@@ -283,10 +299,14 @@ class DocTable:
     (`kadeishvili.ring_product` and `locate`) over the entries stored in
     the document; this class only realises the outcome: the stored entry,
     shifted in degree by 2e for the y-linear extension by y^e.
+
+    A document is keyed once, by `StructureDocument.table`, and the table
+    keeps the document's entries, not the document (so the two form no
+    reference cycle).  A document must be treated as read-only once it has
+    been queried: the table does not see later edits.
     """
 
     def __init__(self, doc: dict):
-        self.doc = doc
         self.p = doc["header"]["p"]
         self.monos = [(b["eps"], b["ypow"]) for b in
                       sorted(doc["basis"], key=lambda b: b["index"])]
@@ -339,6 +359,15 @@ class DocTable:
         shift because y's cocycle is the identity shift, which the record
         checks in both sections before it stores a map."""
         return self._stored(self.maps, key)
+
+
+class StructureDocument(dict):
+    """A structure file's JSON document, as `serialize_structure` and
+    `parse_structure` return it, with its query table built on first use."""
+
+    @functools.cached_property
+    def table(self) -> DocTable:
+        return DocTable(self)
 
 
 def format_map_entry(entry: dict | None, shift: int) -> list:
@@ -406,7 +435,12 @@ def run(config: RunConfig) -> RunResult:
 
 
 def run_query(expr: str, doc: dict) -> list:
-    table = DocTable(doc)
+    """Answer lines of a product or map query on a structure document.  The
+    document's table is built on its first query and reused after; a plain
+    dict is wrapped, and so keyed, on every call."""
+    if not isinstance(doc, StructureDocument):
+        doc = StructureDocument(doc)
+    table = doc.table
     kind, raw_slots = split_query(expr)
     slots = [parse_element(s, table.p) for s in raw_slots]
     if kind == "product":

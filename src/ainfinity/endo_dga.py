@@ -387,9 +387,11 @@ class EndomorphismAlgebra:
         reduced = np.array(cycles, dtype=np.int64)
         if boundary.size:
             b_red, b_pivots = rref_array(boundary.T, p)
-            for row, col in zip(b_red, b_pivots):
-                coef = reduced[:, col].copy()
-                reduced = (reduced - np.outer(coef, row)) % p
+            # the rows of an RREF vanish at every other pivot column, so
+            # clearing the pivots one at a time is this one product; entries
+            # are below p < 2^16 and each sum has len(b_pivots) terms, so
+            # int64 holds it exactly
+            reduced = (reduced - reduced[:, b_pivots] @ b_red[:len(b_pivots)]) % p
         q_red, q_pivots = rref_array(reduced, p)
         return [self.from_coords(degree, q_red[i]) for i in range(len(q_pivots))]
 

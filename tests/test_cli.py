@@ -1,18 +1,21 @@
 """Command-line driver: runs, serialization round-trips, queries."""
 
 import functools
+import gc
 import hashlib
 import itertools
 import json
 import re
+import weakref
 
 import pytest
 
-from ainfinity import ff_linalg
-from ainfinity.cli import (RunConfig, default_truncation, dump_structure,
-                           main, parse_element, parse_structure, run,
-                           run_query, split_query)
+from ainfinity import cli, ff_linalg
+from ainfinity.cli import (RunConfig, StructureDocument, default_truncation,
+                           dump_structure, main, parse_element,
+                           parse_structure, run, run_query, split_query)
 from ainfinity.errors import InvalidParameter, UnresolvableValue
+from ainfinity.kadeishvili import HElement
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +188,31 @@ class TestElementParsing:
         with pytest.raises(InvalidParameter):
             split_query("inverse: x")
 
+    @pytest.mark.parametrize("text,p,terms", [
+        ("x", 5, {(1, 0): 1}),
+        ("2*y^2*x", 5, {(1, 2): 2}),
+        ("y^0", 5, {(0, 0): 1}),
+        ("x^2", 5, {}),
+        ("-x + y", 5, {(1, 0): 4, (0, 1): 1}),
+        ("+x", 5, {(1, 0): 1}),
+        ("7*y", 5, {(0, 1): 2}),
+        ("5*x", 5, {}),
+        ("1", 3, {(0, 0): 1}),
+        ("x - x", 3, {}),
+    ])
+    def test_terms(self, text, p, terms):
+        assert parse_element(text, p) == HElement(p, terms)
+
+    def test_bad_factor_raises_every_time(self):
+        # the term memo stores results, never errors, and the message names
+        # the whole slot text
+        messages = []
+        for _ in range(2):
+            with pytest.raises(InvalidParameter) as info:
+                parse_element("x*z", 5)
+            messages.append(str(info.value))
+        assert messages == ["cannot parse factor 'z' in 'x*z'"] * 2
+
 
 class TestQueries:
     def test_product_queries(self, golden_run):
@@ -234,6 +262,54 @@ class TestQueries:
         for expr in ("map: x", "map: y*x", "map: 1"):
             with pytest.raises(InvalidParameter, match="arity 2"):
                 run_query(expr, golden_run.document)
+
+
+class TestDocumentTable:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Documents whose query table has been built, one entry per build."""
+        tables = []
+
+        class Counting(cli.DocTable):
+            def __init__(self, doc):
+                tables.append(doc)
+                super().__init__(doc)
+
+        monkeypatch.setattr(cli, "DocTable", Counting)
+        return tables
+
+    def test_parsed_document_is_keyed_once(self, golden_run, built):
+        doc = parse_structure(dump_structure(golden_run.document))
+        for _ in range(5):
+            assert run_query("product: x,x,x,x", doc) == ["y"]
+            assert run_query("map: y*x, x", doc)[0].startswith("degree 3")
+        assert built == [doc]
+
+    def test_serialized_document_is_keyed_once(self, built):
+        doc = run(RunConfig(p=2, q=4, max_arity=8)).document
+        assert isinstance(doc, StructureDocument)
+        for _ in range(5):
+            assert run_query("product: y*x, x, x, x", doc) == ["y^2"]
+        assert built == [doc]
+
+    def test_plain_dict_is_wrapped(self, golden_run, built):
+        doc = json.loads(dump_structure(golden_run.document))
+        assert run_query("product: x,x,x,x", doc) == ["y"]
+        assert run_query("product: x,x,x,x", doc) == ["y"]
+        assert len(built) == 2 and all(type(d) is StructureDocument for d in built)
+
+    def test_queried_document_is_freed_without_the_cyclic_gc(self, golden_run):
+        # the table keeps the document's entries, not the document, so
+        # reference counting alone frees both
+        doc = parse_structure(dump_structure(golden_run.document))
+        run_query("product: x,x,x,x", doc)
+        ref = weakref.ref(doc)
+        gc.disable()
+        try:
+            del doc
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestMain:
