@@ -24,12 +24,12 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .endo_dga import EndomorphismAlgebra
+from .endo_dga import EndomorphismAlgebra, HomologyClass
 from .errors import AInfinityError, InvalidParameter, UnresolvableValue
 from .ff_linalg import PrimeField
 from .kadeishvili import (AInfinityRecord, HElement, Monomial, StructureSummary,
-                          UNIT, X, locate, monomial_degree, monomial_name,
-                          monomial_of_degree, monomial_terms, ring_product)
+                          UNIT, X, linear_product, locate, monomial_degree,
+                          monomial_name, ring_product)
 from .resolution import build_cyclic_resolution
 from .stasheff import verify_structure
 
@@ -76,6 +76,10 @@ class RunResult:
 
 _FACTOR_RE = re.compile(r"^(?:(\d+)|x(?:\^(\d+))?|y(?:\^(\d+))?)$")
 
+# Python may refuse int() and str() of numbers over 640 digits (4300 by
+# default); 600 keeps every number a query reads or an answer prints below
+_MAX_DIGITS = 600
+
 
 @functools.lru_cache(maxsize=1024)
 def _parse_term(term: str) -> tuple[Monomial, int] | None:
@@ -94,6 +98,8 @@ def _parse_term(term: str) -> tuple[Monomial, int] | None:
         m = _FACTOR_RE.match(factor)
         if not m:
             raise InvalidParameter(f"cannot parse factor {factor!r}")
+        if m.lastindex and len(m.group(m.lastindex)) > _MAX_DIGITS:
+            raise InvalidParameter(f"a number has more than {_MAX_DIGITS} digits")
         if m.group(1) is not None:
             coeff *= int(m.group(1))
         elif factor.startswith("x"):
@@ -162,7 +168,7 @@ def serialize_structure(record: AInfinityRecord, summary: StructureSummary,
             "arity": len(key),
             "inputs": [index[m] for m in key],
             "degree": value.degree,
-            "coords": [int(c) for c in value.coords],
+            "coords": [value.coeff],
         })
 
     maps = []
@@ -235,7 +241,7 @@ def parse_structure(text: str) -> StructureDocument:
     missing or mistyped raises InvalidParameter naming it."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise InvalidParameter(f"structure file is not JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise InvalidParameter(f"not a {FORMAT_NAME} document")
@@ -332,26 +338,18 @@ class DocTable:
                 "(status is open)")
         return stored, e
 
-    def product(self, key: tuple) -> tuple[int, int]:
-        """(degree, coefficient) of m_n on a monic monomial tuple."""
+    def product(self, key: tuple) -> HomologyClass:
+        """m_n on a monic monomial tuple."""
         n = len(key)
         if n == 1:
-            return monomial_degree(key[0]) + 1, 0
+            return HomologyClass(monomial_degree(key[0]) + 1, 0)
         if n == 2:
-            return monomial_degree(key[0]) + monomial_degree(key[1]), ring_product(key)
+            return HomologyClass(monomial_degree(key[0]) + monomial_degree(key[1]),
+                                 ring_product(key))
         entry, e = self._stored(self.products, key)
         if entry is None:
-            return sum(monomial_degree(m) for m in key) + 2 - n, 0
-        return entry["degree"] + 2 * e, entry["coords"][0]
-
-    def product_element(self, slots: list[HElement]) -> HElement:
-        acc = HElement(self.p)
-        for key, coeff in monomial_terms(slots, self.p):
-            degree, value = self.product(key)
-            if value:
-                acc = acc.add(HElement.monomial(self.p, monomial_of_degree(degree),
-                                                value * coeff))
-        return acc
+            return HomologyClass(sum(monomial_degree(m) for m in key) + 2 - n, 0)
+        return HomologyClass(entry["degree"] + 2 * e, entry["coords"][0])
 
     def map_entry(self, key: tuple) -> tuple[dict | None, int]:
         """(stored entry, extra y-shift) realizing f_n on the tuple, or
@@ -444,8 +442,7 @@ def run_query(expr: str, doc: dict) -> list:
     kind, raw_slots = split_query(expr)
     slots = [parse_element(s, table.p) for s in raw_slots]
     if kind == "product":
-        value = table.product_element(slots)
-        return [str(value)]
+        return [str(linear_product(slots, table.p, table.product))]
     for s in slots:
         if len(s.terms) != 1 or next(iter(s.terms.values())) != 1:
             raise InvalidParameter(

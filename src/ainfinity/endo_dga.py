@@ -41,14 +41,13 @@ representative once per degree and echelonizes the "auto" generators.
 The flattened class read and dimension count live with the tests
 (tests/oracle.py).
 
-Caches: one representative per degree and the per-parity homotopy operators,
-both filled behind a lock.  All cached values are immutable after
-construction, so concurrent readers need no further coordination.
+The engine is single-threaded: the computation is one batch job.  It
+caches one representative per degree and the per-parity homotopy
+operators, each built on first use and immutable after.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,23 +60,29 @@ from .resolution import AlgebraMap, PeriodicResolution
 
 @dataclass(frozen=True)
 class HomologyClass:
-    """Coordinates of a homology class in the chosen basis of its degree."""
+    """`coeff` (an int in [0, p)) times the degree's one representative:
+    Ext is one-dimensional in every degree.  A negative degree holds only
+    the zero class, `HomologyClass(d, 0)`."""
 
     degree: int
-    coords: tuple
+    coeff: int
+
+    @property
+    def coords(self) -> tuple:
+        """The one-coordinate tuple structure files store as `"coords"`."""
+        return (self.coeff,)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return self.coeff == 0
 
     def scale(self, c: int, p: int) -> "HomologyClass":
-        return HomologyClass(self.degree, tuple((x * c) % p for x in self.coords))
+        return HomologyClass(self.degree, self.coeff * c % p)
 
     def add(self, other: "HomologyClass", p: int) -> "HomologyClass":
         if other.degree != self.degree:
             raise DimensionMismatch(
                 f"classes in degrees {self.degree} and {other.degree}")
-        return HomologyClass(self.degree,
-                             tuple((a + b) % p for a, b in zip(self.coords, other.coords)))
+        return HomologyClass(self.degree, (self.coeff + other.coeff) % p)
 
 
 class GradedEndomorphism:
@@ -209,7 +214,6 @@ class EndomorphismAlgebra:
             raise InvalidParameter(f"unknown f1 mode {f1_mode!r}")
         self.resolution = res
         self.f1_mode = f1_mode
-        self._lock = threading.Lock()
         self._homotopy_ops: dict[tuple, tuple] = {}
         self._basis: dict[int, GradedEndomorphism] = {}
 
@@ -347,12 +351,6 @@ class EndomorphismAlgebra:
         g >= 3 is rep(2 - e) o rep(g - 2 + e) with e = g mod 2, which is
         x^e o y^j built from the cached lower degrees.
         """
-        with self._lock:
-            return self._representative(degree)
-
-    def _representative(self, degree: int) -> GradedEndomorphism:
-        # the caller holds the lock, which is not reentrant: the recursion
-        # into lower degrees stays below `homology_basis`
         rep = self._basis.get(degree)
         if rep is not None:
             return rep
@@ -361,8 +359,8 @@ class EndomorphismAlgebra:
             rep = self.identity()
         elif degree >= 3:
             e = degree % 2
-            rep = self.compose(self._representative(2 - e),
-                               self._representative(degree - 2 + e))
+            rep = self.compose(self.homology_basis(2 - e),
+                               self.homology_basis(degree - 2 + e))
         elif self.f1_mode == "paper":
             rep = self.rep_x() if degree == 1 else self.rep_y()
         else:
@@ -396,7 +394,7 @@ class EndomorphismAlgebra:
         return [self.from_coords(degree, q_red[i]) for i in range(len(q_pivots))]
 
     def class_of(self, f: GradedEndomorphism) -> HomologyClass:
-        """Coordinates of the class of a cycle in the chosen basis.
+        """The class of a cycle, as a multiple of the degree's representative.
 
         The class is read from one coefficient of the bottom component
         (see the module docstring).  A cycle that only the window edge
@@ -415,7 +413,7 @@ class EndomorphismAlgebra:
                 f"degree {g}: representative has no a^0 term at the bottom; "
                 "the truncation window is unstable")
         coeff = int(f.component(g).coeffs[0]) * pow(lead, p - 2, p) % p
-        return HomologyClass(g, (coeff,))
+        return HomologyClass(g, coeff)
 
     def nullhomotopy(self, f: GradedEndomorphism) -> GradedEndomorphism:
         """Canonical h with D h = f, solved from the bottom position upward.
@@ -470,12 +468,11 @@ class EndomorphismAlgebra:
         """
         res = self.resolution
         key = (g, n % res.period)
-        with self._lock:
-            ops = self._homotopy_ops.get(key)
-            if ops is None:
-                ops = (SolveContext(res.differential(n - g).mult_matrix(), self.p),
-                       res.differential(n).mult_matrix())
-                self._homotopy_ops[key] = ops
+        ops = self._homotopy_ops.get(key)
+        if ops is None:
+            ops = (SolveContext(res.differential(n - g).mult_matrix(), self.p),
+                   res.differential(n).mult_matrix())
+            self._homotopy_ops[key] = ops
         return ops
 
     def periodic_compact(self, f: GradedEndomorphism) -> CompactForm:

@@ -94,16 +94,10 @@ class HElement:
     def from_class(cls, p: int, value: HomologyClass) -> "HElement":
         if value.is_zero():
             return cls(p)
-        return cls(p, {monomial_of_degree(value.degree): value.coords[0]})
+        return cls(p, {monomial_of_degree(value.degree): value.coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def add(self, other: "HElement") -> "HElement":
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, 0) + c
-        return HElement(self.p, terms)
 
     def scale(self, c: int) -> "HElement":
         return HElement(self.p, {m: v * c for m, v in self.terms.items()})
@@ -179,6 +173,18 @@ def monomial_terms(slots, p: int):
         for _, c in combo:
             coeff = coeff * c % p
         yield tuple(mono for mono, _ in combo), coeff
+
+
+def linear_product(slots, p: int, product) -> HElement:
+    """m_n on a tuple of HElements: the multilinear expansion of `product`,
+    which maps a monomial tuple to its HomologyClass."""
+    terms = {}
+    for key, coeff in monomial_terms(slots, p):
+        value = product(key)
+        if value.coeff:
+            mono = monomial_of_degree(value.degree)
+            terms[mono] = terms.get(mono, 0) + value.coeff * coeff
+    return HElement(p, terms)
 
 
 # ----- signs and term layout of the obstruction --------------------------------
@@ -310,7 +316,7 @@ class AInfinityRecord:
         return self.algebra.homology_basis(monomial_degree(mono))
 
     def f1_of_class(self, value: HomologyClass) -> GradedEndomorphism:
-        return self.algebra.homology_basis(value.degree).scale(value.coords[0])
+        return self.algebra.homology_basis(value.degree).scale(value.coeff)
 
     def zeta_power(self, e: int) -> GradedEndomorphism:
         if e == 0:
@@ -320,9 +326,7 @@ class AInfinityRecord:
     # -- value resolution ---------------------------------------------------------
 
     def _zero_class(self, key) -> HomologyClass:
-        degree = sum(monomial_degree(m) for m in key) + 2 - len(key)
-        dim = 1 if degree >= 0 else 0
-        return HomologyClass(degree, (0,) * dim)
+        return HomologyClass(sum(monomial_degree(m) for m in key) + 2 - len(key), 0)
 
     def _zero_map(self, key) -> GradedEndomorphism:
         # Unit-heavy tuples can push the formal degree below zero; the value
@@ -358,7 +362,7 @@ class AInfinityRecord:
         key = tuple(key)
         n = len(key)
         if n == 1:
-            return HomologyClass(monomial_degree(key[0]) + 1, (0,))
+            return HomologyClass(monomial_degree(key[0]) + 1, 0)
         if n == 2:
             # a brute-mode memo entry (computed as the class of the composed
             # representatives) takes precedence so the oracle comparison
@@ -367,12 +371,12 @@ class AInfinityRecord:
             if hit is not None:
                 return hit
             return HomologyClass(monomial_degree(key[0]) + monomial_degree(key[1]),
-                                 (ring_product(key),))
+                                 ring_product(key))
         found = self._located(self.m_table, key, 0)
         if found is None:
             return self._zero_class(key)
         value, e = found
-        return HomologyClass(value.degree + 2 * e, value.coords) if e else value
+        return HomologyClass(value.degree + 2 * e, value.coeff) if e else value
 
     def resolve_map(self, key: tuple) -> GradedEndomorphism:
         """f_n on a tuple of monic monomials, via memo, linearity, or halting."""
@@ -407,7 +411,7 @@ class AInfinityRecord:
                     continue
                 mono = monomial_of_degree(inner.degree)
                 outer = key[:term.k] + (mono,) + key[term.k + term.j:]
-                value = self.resolve_map(outer).scale(inner.coords[0])
+                value = self.resolve_map(outer).scale(inner.coeff)
                 if value.is_zero():
                     continue
             total = total + value.scale(term.sign)
@@ -521,16 +525,13 @@ class AInfinityRecord:
             raise InvalidParameter("linear extension needs homogeneous slots")
         n = len(slots)
         degree_sum = sum(next(iter(s.degrees()), 0) for s in slots)
-        m_acc = HElement(p)
+        m_value = linear_product(slots, p, self.resolve_product)
         f_acc = self.algebra.zero(max(degree_sum + 1 - n, 0))
         for key, coeff in monomial_terms(slots, p):
-            m_val = self.resolve_product(key)
-            if not m_val.is_zero():
-                m_acc = m_acc.add(HElement.from_class(p, m_val).scale(coeff))
             f_val = self.resolve_map(key)
             if not f_val.is_zero():
                 f_acc = f_acc + f_val.scale(coeff)
-        return m_acc, f_acc
+        return m_value, f_acc
 
     def _as_element(self, el) -> HElement:
         if isinstance(el, tuple) and len(el) == 2 and all(isinstance(v, int) for v in el):
@@ -568,7 +569,7 @@ class AInfinityRecord:
         mq = self.m_table.get((X,) * q)
         mq_sign = None
         if mq is not None and not mq.is_zero():
-            mq_sign = int(mq.coords[0])
+            mq_sign = mq.coeff
         res = self.algebra.resolution
         return StructureSummary(
             p=self.algebra.p, q=q, f1_mode=self.algebra.f1_mode,

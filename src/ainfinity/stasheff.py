@@ -51,7 +51,7 @@ def check_structure(record: AInfinityRecord, n: int, key) -> HomologyClass:
     p = record.algebra.p
     degrees = [monomial_degree(m) for m in key]
     residual_degree = sum(degrees) + 3 - n
-    residual = HomologyClass(residual_degree, (0,) if residual_degree >= 0 else ())
+    residual = HomologyClass(residual_degree, 0)
     for s in range(2, n):
         for r in range(0, n - s + 1):
             t = n - s - r
@@ -64,7 +64,7 @@ def check_structure(record: AInfinityRecord, n: int, key) -> HomologyClass:
             if value.is_zero():
                 continue
             exponent = r + s * t + (2 - s) * sum(degrees[:r])
-            sign = (-1 if exponent % 2 else 1) * inner.coords[0]
+            sign = (-1 if exponent % 2 else 1) * inner.coeff
             residual = residual.add(value.scale(sign, p), p)
     return residual
 
@@ -101,7 +101,7 @@ def check_morphism(record: AInfinityRecord, n: int, key) -> GradedEndomorphism:
             if value.is_zero():
                 continue
             exponent = r + s * t + (2 - s) * sum(degrees[:r])
-            sign = (-1 if exponent % 2 else 1) * inner.coords[0]
+            sign = (-1 if exponent % 2 else 1) * inner.coeff
             total = total + value.scale(sign)
 
     # the two isolated terms: f_1(m_n) and the differential of f_n

@@ -49,7 +49,7 @@ def flattened_class_of(algebra, f):
     if np.any((algebra.d_matrix(g) @ v) % algebra.p):
         raise NotACycle(f"degree-{g} element has nonzero differential")
     if g == 0:
-        return HomologyClass(0, (augmentation_scalar(algebra, f),))
+        return HomologyClass(0, augmentation_scalar(algebra, f))
     rep = algebra.coords_of(algebra.homology_basis(g))
     solver = SolveContext(np.column_stack([rep, algebra.d_matrix(g - 1)]), algebra.p)
     if solver.pivots[:1] != [0]:
@@ -57,4 +57,4 @@ def flattened_class_of(algebra, f):
     x = solver.solve(v)
     if x is None:
         raise TruncationTooShort(f"degree {g}: cycle outside representative and boundaries")
-    return HomologyClass(g, (int(x[0]),))
+    return HomologyClass(g, int(x[0]))

@@ -68,7 +68,7 @@ class TestCriterion1:
         for k in range(5, 9):
             assert rec.m_table[(X,) * k].is_zero()
         m4 = rec.m_table[(X,) * 4]
-        assert m4 == HomologyClass(2, (1,))
+        assert m4 == HomologyClass(2, 1)
 
         f2 = rec.f_table[(X, X)]
         f3 = rec.f_table[(X,) * 3]
@@ -208,7 +208,7 @@ class TestCriterion6:
             p = rec.algebra.p
             degree = int(rng.integers(0, 7))
             coeff = int(rng.integers(1, p))
-            cls = HomologyClass(degree, (coeff,))
+            cls = HomologyClass(degree, coeff)
             rep = rec.f1_of_class(cls)
             assert rec.algebra.class_of(rep) == cls
         report("criterion 6c: section property", True, f"{self.CASES} cases")
@@ -281,7 +281,7 @@ class TestClosedForm:
             # (-1)^(n(n+1)/2) in the paper section, (-1)^(n(n-1)/2) in auto
             shift = 1 if section == "paper" else -1
             sign = {n: (-1) ** (n * (n + shift) // 2) % p for n in range(2, q + 1)}
-            assert rec.resolve_product((X,) * q) == HomologyClass(2, (sign[q],)), case
+            assert rec.resolve_product((X,) * q) == HomologyClass(2, sign[q]), case
             alg = rec.algebra.resolution.algebra
             for n in range(2, 2 * q + 1):
                 f = rec.resolve_map((X,) * n)

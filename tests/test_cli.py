@@ -78,6 +78,14 @@ class TestStructureFile:
         assert header["halting"] == {"status": "complete", "arity": 5}
         assert header["mq_sign"] == 1
 
+    def test_product_coords_are_the_coefficient(self, golden_run):
+        doc, record = golden_run.document, golden_run.record
+        monos = [(b["eps"], b["ypow"]) for b in doc["basis"]]
+        for entry in doc["products"]:
+            value = record.m_table[tuple(monos[i] for i in entry["inputs"])]
+            assert value.coords == (value.coeff,)
+            assert list(value.coords) == entry["coords"]
+
     def test_rejects_foreign_documents(self):
         with pytest.raises(InvalidParameter):
             parse_structure(json.dumps({"format": "something-else"}))
@@ -142,6 +150,14 @@ def agreement_tuples(q):
     return tuples + [("x",) * n for n in range(5, 2 * q + 2)]
 
 
+def multi_term_tuples(q):
+    """Product tuples with multi-term slots, around the nonzero m_q; in the
+    last, the two y^2-terms of the expansion cancel mod every p."""
+    return [("x + y*x",) + ("x",) * (q - 1), ("2*x + y", "x"),
+            ("2*x + y",) + ("x",) * (q - 1),
+            ("x + y*x", "x - y*x") + ("x",) * (q - 2)]
+
+
 @pytest.mark.parametrize("p,q,mode,f1_mode", sorted(GOLDEN_DIGESTS))
 def test_record_and_its_file_agree(p, q, mode, f1_mode):
     # the file reader and the record resolve through the same rules; this
@@ -168,6 +184,17 @@ def test_record_and_its_file_agree(p, q, mode, f1_mode):
                for m in map(_POSITION_RE.match, lines[2:2 + period])]
         assert got == [(value.degree + i, value.component(value.degree + i).entries.tolist())
                        for i in range(period)], expr
+    # a multi-term slot is inhomogeneous, which the record's extend_linear
+    # refuses, so the record answers term by term
+    for names in multi_term_tuples(q):
+        slots = [parse_element(name, p) for name in names]
+        terms = {}
+        for parts in itertools.product(*(s.terms.items() for s in slots)):
+            value = record.extend_linear([HElement(p, dict([part])) for part in parts])[0]
+            for mono, c in value.terms.items():
+                terms[mono] = terms.get(mono, 0) + c
+        expr = ", ".join(names)
+        assert run_query("product: " + expr, doc) == [str(HElement(p, terms))], expr
 
 
 class TestElementParsing:
@@ -432,6 +459,30 @@ class TestMain:
         err = self._query_bad_file(tmp_path, capsys, golden_run, mutate)
         assert "'p'" in err and "65536" in err
         assert tested == []
+
+    @pytest.mark.parametrize("slot", ["9" * 5000 + "*x", "x^" + "9" * 5000,
+                                      "y^" + "9" * 5000],
+                             ids=["coefficient", "x-exponent", "y-exponent"])
+    def test_query_number_too_long_exit_one(self, slot, tmp_path, capsys, golden_run):
+        # 5000 digits: more than int() converts by default
+        out = tmp_path / "structure.json"
+        out.write_text(dump_structure(golden_run.document))
+        assert main(["--query", f"product: {slot}, x", "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error:") and "digits" in captured.err
+
+    def test_file_number_too_long_exit_one(self, tmp_path, capsys, golden_run):
+        # json.loads refuses such an integer with a ValueError that is not
+        # a JSONDecodeError
+        doc = json.loads(dump_structure(golden_run.document))
+        doc["header"]["q"] = "LONG"
+        out = tmp_path / "structure.json"
+        out.write_text(json.dumps(doc).replace('"LONG"', "9" * 5000))
+        assert main(["--query", "product: x,x,x", "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error:")
 
     def test_query_on_a_directory_exit_one(self, tmp_path, capsys):
         assert main(["--query", "product: x,x,x", "--output", str(tmp_path)]) == 1

@@ -183,7 +183,11 @@ class TestHomology:
     def test_section_property(self, algebra):
         for degree in range(0, 6):
             rep = algebra.homology_basis(degree)
-            assert algebra.class_of(rep) == HomologyClass(degree, (1,))
+            assert algebra.class_of(rep) == HomologyClass(degree, 1)
+
+    def test_one_cached_representative_per_degree(self, algebra):
+        for degree in range(0, 6):
+            assert algebra.homology_basis(degree) is algebra.homology_basis(degree)
 
     def test_not_a_cycle_raises(self, algebra):
         rng = np.random.default_rng(5)
@@ -242,8 +246,10 @@ class TestAutoSection:
         monkeypatch.setattr(algebra, "_echelon_reps", lambda degree, dmat: cycles)
         with pytest.raises(TruncationTooShort, match="2 echelon generators"):
             algebra.homology_basis(1)
-        # the failed build left the lock free
-        assert algebra.homology_basis(0) == algebra.identity()
+        # the failed degree was not cached, so asking again fails again
+        assert 1 not in algebra._basis
+        with pytest.raises(TruncationTooShort, match="2 echelon generators"):
+            algebra.homology_basis(1)
 
 
 def reference_nullhomotopy(algebra, f):
