@@ -10,9 +10,8 @@ from .resolution import (AlgebraMap, PeriodicResolution, TruncatedPolyAlgebra,
                          build_cyclic_resolution)
 from .endo_dga import (CompactForm, EndomorphismAlgebra, GradedEndomorphism,
                        HomologyClass)
-from .kadeishvili import (AInfinityRecord, HElement, SignedTerm,
-                          StructureSummary, first_complete_arity,
-                          insertion_sign, monomial_name, obstruction_terms,
+from .kadeishvili import (AInfinityRecord, HElement, StructureSummary,
+                          first_complete_arity, insertion_sign, monomial_name,
                           split_sign)
 from .stasheff import (VerificationReport, check_morphism, check_structure,
                        verify_structure)
@@ -26,9 +25,8 @@ __all__ = [
     "AlgebraMap", "PeriodicResolution",
     "TruncatedPolyAlgebra", "build_cyclic_resolution",
     "CompactForm", "EndomorphismAlgebra", "GradedEndomorphism", "HomologyClass",
-    "AInfinityRecord", "HElement", "SignedTerm", "StructureSummary",
-    "first_complete_arity", "insertion_sign", "monomial_name",
-    "obstruction_terms", "split_sign",
+    "AInfinityRecord", "HElement", "StructureSummary",
+    "first_complete_arity", "insertion_sign", "monomial_name", "split_sign",
     "VerificationReport", "check_morphism", "check_structure",
     "verify_structure",
     "RunConfig", "default_truncation", "parse_structure", "run",

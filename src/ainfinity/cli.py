@@ -28,8 +28,8 @@ from .endo_dga import EndomorphismAlgebra, HomologyClass
 from .errors import AInfinityError, InvalidParameter, UnresolvableValue
 from .ff_linalg import PrimeField
 from .kadeishvili import (AInfinityRecord, HElement, Monomial, StructureSummary,
-                          UNIT, X, linear_product, locate, monomial_degree,
-                          monomial_name, ring_product)
+                          UNIT, X, linear_product, lookup, monomial_degree,
+                          monomial_name, product_value)
 from .resolution import build_cyclic_resolution
 from .stasheff import verify_structure
 
@@ -81,6 +81,12 @@ _FACTOR_RE = re.compile(r"^(?:(\d+)|x(?:\^(\d+))?|y(?:\^(\d+))?)$")
 _MAX_DIGITS = 600
 
 
+def _quoted(text: str) -> str:
+    """`text` quoted for an error message, cut after 40 characters: a
+    query can be megabytes long."""
+    return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+
+
 @functools.lru_cache(maxsize=1024)
 def _parse_term(term: str) -> tuple[Monomial, int] | None:
     """(monomial, signed integer coefficient) of one term such as
@@ -97,7 +103,7 @@ def _parse_term(term: str) -> tuple[Monomial, int] | None:
         factor = factor.strip()
         m = _FACTOR_RE.match(factor)
         if not m:
-            raise InvalidParameter(f"cannot parse factor {factor!r}")
+            raise InvalidParameter(f"cannot parse factor {_quoted(factor)}")
         if m.lastindex and len(m.group(m.lastindex)) > _MAX_DIGITS:
             raise InvalidParameter(f"a number has more than {_MAX_DIGITS} digits")
         if m.group(1) is not None:
@@ -124,7 +130,7 @@ def parse_element(text: str, p: int) -> HElement:
         try:
             term = _parse_term(chunk)
         except InvalidParameter as exc:
-            raise InvalidParameter(f"{exc} in {text!r}") from None
+            raise InvalidParameter(f"{exc} in {_quoted(text)}") from None
         if term is not None:
             mono, coeff = term
             terms[mono] = terms.get(mono, 0) + coeff
@@ -135,13 +141,14 @@ def split_query(expr: str) -> tuple[str, list[str]]:
     m = re.match(r"^\s*(product|map)\s*[:(]?\s*(.*?)\s*\)?\s*$", expr, re.S)
     if not m:
         raise InvalidParameter(
-            f"cannot parse query {expr!r}; expected 'product: a,b,...' or 'map: a,b,...'")
+            f"cannot parse query {_quoted(expr)}; expected 'product: a,b,...' or "
+            "'map: a,b,...'")
     kind, rest = m.group(1), m.group(2)
     if not rest:
         raise InvalidParameter("query needs at least one tuple entry")
     slots = [part.strip() for part in rest.split(",")]
     if not all(slots):
-        raise InvalidParameter(f"empty tuple entry in query {expr!r}")
+        raise InvalidParameter(f"empty tuple entry in query {_quoted(expr)}")
     return kind, slots
 
 
@@ -301,10 +308,10 @@ def parse_structure(text: str) -> StructureDocument:
 class DocTable:
     """Query evaluation against a parsed structure file.
 
-    Which value a tuple takes is decided by the engine's own rules
-    (`kadeishvili.ring_product` and `locate`) over the entries stored in
-    the document; this class only realises the outcome: the stored entry,
-    shifted in degree by 2e for the y-linear extension by y^e.
+    Values are resolved by the engine's own rules (`kadeishvili.lookup`
+    and `product_value`) over the entries stored in the document; a file
+    stores every value it can give, so its `fill` hook only refuses an
+    arity past the computed range of an open file.
 
     A document is keyed once, by `StructureDocument.table`, and the table
     keeps the document's entries, not the document (so the two form no
@@ -316,47 +323,34 @@ class DocTable:
         self.p = doc["header"]["p"]
         self.monos = [(b["eps"], b["ypow"]) for b in
                       sorted(doc["basis"], key=lambda b: b["index"])]
-        self.products = self._keyed(doc["products"])
-        self.maps = self._keyed(doc["maps"])
+        self.products = {key: HomologyClass(entry["degree"], entry["coords"][0])
+                         for key, entry in self._keyed(doc["products"])}
+        self.maps = dict(self._keyed(doc["maps"]))
         halting = doc["header"]["halting"]
         self.halted_at = halting.get("arity") if halting["status"] == "complete" else None
 
-    def _keyed(self, entries: list) -> dict:
-        return {tuple(self.monos[i] for i in entry["inputs"]): entry for entry in entries}
+    def _keyed(self, entries: list):
+        return ((tuple(self.monos[i] for i in entry["inputs"]), entry)
+                for entry in entries)
 
-    def _stored(self, table: dict, key: tuple):
-        """(stored entry, y-power) realizing the value on the tuple, or
-        (None, 0) when it is zero."""
-        found = locate(key, table, self.halted_at, linear=True)
-        if found is None:
-            return None, 0
-        core, e = found
-        stored = table.get(core)
-        if stored is None:
+    def _fill(self, key: tuple):
+        """`lookup`'s hook: a value the file lacks is past its computed range."""
+        core = (X,) * len(key)
+        if core not in self.products or core not in self.maps:
             raise UnresolvableValue(
                 f"arity {len(key)} is outside the computed range of the file "
                 "(status is open)")
-        return stored, e
 
     def product(self, key: tuple) -> HomologyClass:
         """m_n on a monic monomial tuple."""
-        n = len(key)
-        if n == 1:
-            return HomologyClass(monomial_degree(key[0]) + 1, 0)
-        if n == 2:
-            return HomologyClass(monomial_degree(key[0]) + monomial_degree(key[1]),
-                                 ring_product(key))
-        entry, e = self._stored(self.products, key)
-        if entry is None:
-            return HomologyClass(sum(monomial_degree(m) for m in key) + 2 - n, 0)
-        return HomologyClass(entry["degree"] + 2 * e, entry["coords"][0])
+        return product_value(key, self.products, self.halted_at, True, self._fill)
 
-    def map_entry(self, key: tuple) -> tuple[dict | None, int]:
-        """(stored entry, extra y-shift) realizing f_n on the tuple, or
-        (None, 0) when the value is zero.  The shift is a plain degree
-        shift because y's cocycle is the identity shift, which the record
-        checks in both sections before it stores a map."""
-        return self._stored(self.maps, key)
+    def map_entry(self, key: tuple) -> tuple[dict, int] | None:
+        """(stored entry, extra y-shift) realizing f_n on the tuple, or None
+        when the value is zero.  The shift is a plain degree shift because
+        y's cocycle is the identity shift, which the record checks in both
+        sections before it stores a map."""
+        return lookup(key, self.maps, self.halted_at, True, self._fill)
 
 
 class StructureDocument(dict):
@@ -368,9 +362,10 @@ class StructureDocument(dict):
         return DocTable(self)
 
 
-def format_map_entry(entry: dict | None, shift: int) -> list:
-    if entry is None:
+def format_map_entry(found: tuple[dict, int] | None) -> list:
+    if found is None:
         return ["0 (zero map)"]
+    entry, shift = found
     degree = entry["degree"] + 2 * shift
     lines = [f"degree {degree}" + (f" (shifted by y^{shift})" if shift else "")]
     if entry["period"]:
@@ -452,8 +447,7 @@ def run_query(expr: str, doc: dict) -> list:
             "map queries start at arity 2; f_1 is the representative cocycle, "
             "which structure files do not store")
     key = tuple(next(iter(s.terms)) for s in slots)
-    entry, shift = table.map_entry(key)
-    return format_map_entry(entry, shift)
+    return format_map_entry(table.map_entry(key))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -132,8 +132,8 @@ class HElement:
 #
 # Only the pure-x values m_n(x, ..., x) and f_n(x, ..., x) are stored (brute
 # mode also stores what the recursion reaches); these rules give every other
-# tuple.  The record and the structure-file reader share them and differ only
-# in how they realise a located value.
+# tuple.  The record and the structure-file reader both resolve through
+# `lookup` and `product_value`, and differ only in their `fill` hook.
 
 def ring_product(key: tuple) -> int:
     """Coefficient of m_2 on a pair of basis monomials: 0 when both carry x
@@ -141,28 +141,56 @@ def ring_product(key: tuple) -> int:
     return 0 if key[0][0] and key[1][0] else 1
 
 
-def locate(key: tuple, stored, halted_at: int | None, linear: bool):
-    """Where the value of m_n or f_n (n >= 2) on a monomial tuple comes from.
+def lookup(key: tuple, stored, halted_at: int | None, linear: bool, fill):
+    """m_n or f_n (n >= 2) on a monomial tuple as `(value, e)`, the stored
+    `value` multiplied by y^e, or None when it is zero.
 
-    None when the value is zero: a unit slot (strict unitality), an arity at
-    or past `halted_at`, or, when `linear`, a slot that is a pure y-power
-    (a y-multiple of the unit).  `(key, 0)` when `stored` holds the value,
-    and without `linear` also when the caller must compute it.  Otherwise
-    `(core, e)`: the y-linear extension of the pure-x value `stored[core]`
-    by `y^e`; `core` itself may be missing from `stored`.
+    Zero: a unit slot (strict unitality), an arity at or past `halted_at`,
+    or, when `linear`, a slot that is a pure y-power (a y-multiple of the
+    unit).  A value stored under the tuple itself is returned with e = 0.
+    Any other value is read after `fill(key)`, which raises when it cannot
+    be given: without `linear`, the tuple's own value, which `fill` stores;
+    with it, the y-linear extension of the arity's pure-x value.
     """
     if UNIT in key:
         return None
-    if key in stored:
-        return key, 0
+    value = stored.get(key)
+    if value is not None:
+        return value, 0
     n = len(key)
     if halted_at is not None and n >= halted_at:
         return None
     if not linear:
-        return key, 0
+        fill(key)
+        return stored[key], 0
     if not all(e for e, _ in key):
         return None
-    return (X,) * n, sum(j for _, j in key)
+    fill(key)
+    return stored[(X,) * n], sum(j for _, j in key)
+
+
+def product_value(key: tuple, stored, halted_at: int | None, linear: bool,
+                  fill) -> HomologyClass:
+    """m_n on a monomial tuple: zero at arity 1 (the structure is minimal),
+    the stored entry or else the ring product at arity 2, and `lookup`
+    above; a y^e-extension raises the degree by 2e, and a zero class has
+    degree |a_1| + ... + |a_n| + 2 - n.
+
+    A stored arity-2 entry wins over the ring product: brute mode stores
+    the class of the composed representatives, and reading it keeps the
+    oracle comparison honest."""
+    n = len(key)
+    if n == 2:
+        value = stored.get(key)
+        if value is not None:
+            return value
+        return HomologyClass(monomial_degree(key[0]) + monomial_degree(key[1]),
+                             ring_product(key))
+    found = lookup(key, stored, halted_at, linear, fill) if n > 2 else None
+    if found is None:
+        return HomologyClass(sum(monomial_degree(m) for m in key) + 2 - n, 0)
+    value, e = found
+    return HomologyClass(value.degree + 2 * e, value.coeff) if e else value
 
 
 def monomial_terms(slots, p: int):
@@ -187,7 +215,7 @@ def linear_product(slots, p: int, product) -> HElement:
     return HElement(p, terms)
 
 
-# ----- signs and term layout of the obstruction --------------------------------
+# ----- signs of the obstruction ------------------------------------------------
 
 def split_sign(degrees, n: int, s: int) -> int:
     """Sign of the product term f_s . f_(n-s) in the obstruction."""
@@ -205,37 +233,6 @@ def insertion_sign(degrees, n: int, k: int, j: int) -> int:
         raise InvalidParameter(f"offset {k} outside 0..{n - j}")
     exponent = k + j * (n - k - j + sum(degrees[:k]))
     return -1 if exponent % 2 else 1
-
-
-@dataclass(frozen=True)
-class SignedTerm:
-    """One summand of the obstruction: a two-factor product split at s,
-    or the insertion of an inner m_j after the first k arguments."""
-
-    sign: int
-    kind: str  # "product" or "insertion"
-    s: int | None = None
-    k: int | None = None
-    j: int | None = None
-
-
-def obstruction_terms(degrees, n: int) -> list[SignedTerm]:
-    """All signed summands of the arity-n obstruction.
-
-    The arity-2 base case is the bare composition with sign +1; from
-    arity 3 on the split and insertion exponents apply.
-    """
-    if n < 2:
-        raise InvalidParameter("the obstruction starts at arity 2")
-    if n == 2:
-        return [SignedTerm(1, "product", s=1)]
-    terms = [SignedTerm(split_sign(degrees, n, s), "product", s=s)
-             for s in range(1, n)]
-    for j in range(2, n):
-        for k in range(0, n - j + 1):
-            terms.append(SignedTerm(insertion_sign(degrees, n, k, j),
-                                    "insertion", k=k, j=j))
-    return terms
 
 
 # ----- certificates -------------------------------------------------------------
@@ -325,65 +322,37 @@ class AInfinityRecord:
 
     # -- value resolution ---------------------------------------------------------
 
-    def _zero_class(self, key) -> HomologyClass:
-        return HomologyClass(sum(monomial_degree(m) for m in key) + 2 - len(key), 0)
-
     def _zero_map(self, key) -> GradedEndomorphism:
         # Unit-heavy tuples can push the formal degree below zero; the value
         # is the zero map either way, parked in degree 0.
         degree = sum(monomial_degree(m) for m in key) + 1 - len(key)
         return self.algebra.zero(max(degree, 0))
 
-    def _check_extension_allowed(self, arity: int):
-        if arity not in self.certificates:
-            raise CertificateMissing(
-                f"arity {arity} has no periodicity certificate; linear extension "
-                "is not justified")
-
-    def _located(self, table: dict, key: tuple, which: int):
-        """(stored value, y-power) that `locate` points to, or None for zero;
-        brute mode computes unstored tuples of computed arities on demand."""
-        found = locate(key, table, self.halted_at, self.mode == "reduced")
-        if found is None:
-            return None
-        core, e = found
-        value = table.get(core)
-        if value is None:
-            n = len(key)
-            if self.mode == "brute" and n in self.computed_arities:
-                return self._compute_pair(key)[which], 0
+    def _fill(self, key: tuple):
+        """`lookup`'s hook: compute a brute tuple of a computed arity; a
+        reduced arity extends y-linearly only under its certificate."""
+        n = len(key)
+        if n not in self.computed_arities:
             raise UnresolvableValue(f"arity {n} has not been computed")
-        if e:
-            self._check_extension_allowed(len(key))
-        return value, e
+        if self.mode == "brute":
+            self._compute_pair(key)
+        elif n not in self.certificates:
+            raise CertificateMissing(
+                f"arity {n} has no periodicity certificate; linear extension "
+                "is not justified")
 
     def resolve_product(self, key: tuple) -> HomologyClass:
         """m_n on a tuple of monic monomials, via memo, linearity, or halting."""
-        key = tuple(key)
-        n = len(key)
-        if n == 1:
-            return HomologyClass(monomial_degree(key[0]) + 1, 0)
-        if n == 2:
-            # a brute-mode memo entry (computed as the class of the composed
-            # representatives) takes precedence so the oracle comparison
-            # stays honest
-            hit = self.m_table.get(key)
-            if hit is not None:
-                return hit
-            return HomologyClass(monomial_degree(key[0]) + monomial_degree(key[1]),
-                                 ring_product(key))
-        found = self._located(self.m_table, key, 0)
-        if found is None:
-            return self._zero_class(key)
-        value, e = found
-        return HomologyClass(value.degree + 2 * e, value.coeff) if e else value
+        return product_value(tuple(key), self.m_table, self.halted_at,
+                             self.mode == "reduced", self._fill)
 
     def resolve_map(self, key: tuple) -> GradedEndomorphism:
         """f_n on a tuple of monic monomials, via memo, linearity, or halting."""
         key = tuple(key)
         if len(key) == 1:
             return self.f1(key[0])
-        found = self._located(self.f_table, key, 1)
+        found = lookup(key, self.f_table, self.halted_at, self.mode == "reduced",
+                       self._fill)
         if found is None:
             return self._zero_map(key)
         value, e = found
@@ -392,29 +361,30 @@ class AInfinityRecord:
     # -- the algorithm ------------------------------------------------------------
 
     def obstruction(self, key: tuple) -> GradedEndomorphism:
-        """Assemble Psi_n on a monomial tuple and verify it is a cycle."""
+        """Assemble Psi_n on a monomial tuple (the two sums of the module
+        docstring) and verify it is a cycle."""
         key = tuple(key)
         n = len(key)
+        if n < 2:
+            raise InvalidParameter("the obstruction starts at arity 2")
         degrees = [monomial_degree(m) for m in key]
-        target_degree = sum(degrees) + 2 - n
-        total = self.algebra.zero(target_degree)
-        for term in obstruction_terms(degrees, n):
-            if term.kind == "product":
-                left = self.resolve_map(key[:term.s])
-                right = self.resolve_map(key[term.s:])
-                if left.is_zero() or right.is_zero():
-                    continue
-                value = self.algebra.compose(left, right)
-            else:
-                inner = self.resolve_product(key[term.k:term.k + term.j])
+        total = self.algebra.zero(sum(degrees) + 2 - n)
+        for s in range(1, n):
+            left = self.resolve_map(key[:s])
+            right = self.resolve_map(key[s:])
+            if not (left.is_zero() or right.is_zero()):
+                sign = split_sign(degrees, n, s) if n > 2 else 1
+                total = total + self.algebra.compose(left, right).scale(sign)
+        for j in range(2, n):
+            for k in range(n - j + 1):
+                inner = self.resolve_product(key[k:k + j])
                 if inner.is_zero():
                     continue
-                mono = monomial_of_degree(inner.degree)
-                outer = key[:term.k] + (mono,) + key[term.k + term.j:]
-                value = self.resolve_map(outer).scale(inner.coeff)
-                if value.is_zero():
-                    continue
-            total = total + value.scale(term.sign)
+                outer = key[:k] + (monomial_of_degree(inner.degree),) + key[k + j:]
+                value = self.resolve_map(outer)
+                if not value.is_zero():
+                    sign = insertion_sign(degrees, n, k, j)
+                    total = total + value.scale(sign * inner.coeff)
         if not total.differential().is_zero():
             raise PsiNotCycle(
                 f"obstruction at arity {n} on {self._key_name(key)} is not a cycle; "

@@ -39,6 +39,23 @@ from .kadeishvili import (AInfinityRecord, X, monomial_degree, monomial_name,
                           monomial_of_degree)
 
 
+def _insertions(record: AInfinityRecord, key: tuple, degrees: list):
+    """(signed coefficient, outer tuple) of each term id^r (x) m_s (x) id^t
+    with an interior s, 1 < s < n, that is nonzero on the tuple: the sign
+    (-1)^(r+st), the Koszul sign (-1)^((2-s)(|a_1|+...+|a_r|)) and the
+    coefficient of the inner class, whose monomial takes the place of
+    a_(r+1)..a_(r+s) in the outer tuple."""
+    n = len(key)
+    for s in range(2, n):
+        for r in range(0, n - s + 1):
+            inner = record.resolve_product(key[r:r + s])
+            if inner.is_zero():
+                continue
+            exponent = r + s * (n - s - r) + (2 - s) * sum(degrees[:r])
+            outer = key[:r] + (monomial_of_degree(inner.degree),) + key[r + s:]
+            yield (-1 if exponent % 2 else 1) * inner.coeff, outer
+
+
 def check_structure(record: AInfinityRecord, n: int, key) -> HomologyClass:
     """Exact residual of the arity-n structure identity on the tuple.
 
@@ -50,22 +67,11 @@ def check_structure(record: AInfinityRecord, n: int, key) -> HomologyClass:
         raise InvalidParameter(f"tuple has length {len(key)}, expected {n}")
     p = record.algebra.p
     degrees = [monomial_degree(m) for m in key]
-    residual_degree = sum(degrees) + 3 - n
-    residual = HomologyClass(residual_degree, 0)
-    for s in range(2, n):
-        for r in range(0, n - s + 1):
-            t = n - s - r
-            inner = record.resolve_product(key[r:r + s])
-            if inner.is_zero():
-                continue
-            mono = monomial_of_degree(inner.degree)
-            outer = key[:r] + (mono,) + key[r + s:]
-            value = record.resolve_product(outer)
-            if value.is_zero():
-                continue
-            exponent = r + s * t + (2 - s) * sum(degrees[:r])
-            sign = (-1 if exponent % 2 else 1) * inner.coeff
-            residual = residual.add(value.scale(sign, p), p)
+    residual = HomologyClass(sum(degrees) + 3 - n, 0)
+    for coeff, outer in _insertions(record, key, degrees):
+        value = record.resolve_product(outer)
+        if not value.is_zero():
+            residual = residual.add(value.scale(coeff, p), p)
     return residual
 
 
@@ -89,20 +95,10 @@ def check_morphism(record: AInfinityRecord, n: int, key) -> GradedEndomorphism:
         return algebra.differential(f1).scale(-1)
 
     # insertion side: f_(n-s+1)(id^r (x) m_s (x) id^t) for interior s
-    for s in range(2, n):
-        for r in range(0, n - s + 1):
-            t = n - s - r
-            inner = record.resolve_product(key[r:r + s])
-            if inner.is_zero():
-                continue
-            mono = monomial_of_degree(inner.degree)
-            outer = key[:r] + (mono,) + key[r + s:]
-            value = record.resolve_map(outer)
-            if value.is_zero():
-                continue
-            exponent = r + s * t + (2 - s) * sum(degrees[:r])
-            sign = (-1 if exponent % 2 else 1) * inner.coeff
-            total = total + value.scale(sign)
+    for coeff, outer in _insertions(record, key, degrees):
+        value = record.resolve_map(outer)
+        if not value.is_zero():
+            total = total + value.scale(coeff)
 
     # the two isolated terms: f_1(m_n) and the differential of f_n
     full = record.resolve_product(key)

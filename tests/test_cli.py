@@ -8,6 +8,7 @@ import json
 import re
 import weakref
 
+import numpy as np
 import pytest
 
 from ainfinity import cli, ff_linalg
@@ -197,6 +198,35 @@ def test_record_and_its_file_agree(p, q, mode, f1_mode):
         assert run_query("product: " + expr, doc) == [str(HElement(p, terms))], expr
 
 
+def _pulled_back(doc, p):
+    """The document of the other section, x -> -x: a product's coords
+    change by (-1)^(e_in + degree), with e_in the x-count of its inputs,
+    and a map's components by (-1)^e_in.  The header's `mq_sign` is the
+    coordinate of m_q(x, ..., x), in degree 2."""
+    doc = json.loads(dump_structure(doc))
+    header = doc["header"]
+    if header["mq_sign"] is not None:
+        header["mq_sign"] = (-1) ** header["q"] * header["mq_sign"] % p
+    eps = {b["index"]: b["eps"] for b in doc["basis"]}
+    for entry in doc["products"]:
+        if (sum(eps[i] for i in entry["inputs"]) + entry["degree"]) % 2:
+            entry["coords"] = [-c % p for c in entry["coords"]]
+    for entry in doc["maps"]:
+        if sum(eps[i] for i in entry["inputs"]) % 2:
+            entry["components"] = (-np.array(entry["components"]) % p).tolist()
+    return doc
+
+
+@pytest.mark.parametrize("p,q,mode", sorted({key[:3] for key in GOLDEN_DIGESTS}))
+def test_auto_section_is_paper_pulled_back(p, q, mode):
+    # auto's degree-g representative is (-1)^g times paper's, so the auto
+    # structure is the paper one pulled back along x -> -x
+    paper = _pulled_back(sweep_run(p, q, mode, "paper").document, p)
+    auto = json.loads(dump_structure(sweep_run(p, q, mode, "auto").document))
+    assert auto["header"].pop("f1") == "auto" and paper["header"].pop("f1") == "paper"
+    assert auto == paper
+
+
 class TestElementParsing:
     def test_monomials_and_sums(self):
         el = parse_element("2*y^2*x + x", 5)
@@ -281,8 +311,9 @@ class TestQueries:
 
     def test_open_status_blocks_high_arities(self):
         doc = run(RunConfig(p=2, q=4, max_arity=3)).document
-        with pytest.raises(UnresolvableValue):
-            run_query("product: x,x,x,x,x", doc)
+        for expr in ("product: x,x,x,x,x", "map: x,x,x,x,x"):
+            with pytest.raises(UnresolvableValue):
+                run_query(expr, doc)
 
     def test_map_queries_start_at_arity_two(self, golden_run):
         # f_1 is the representative cocycle, which files do not store
@@ -471,6 +502,19 @@ class TestMain:
         captured = capsys.readouterr()
         assert not captured.out
         assert captured.err.startswith("error:") and "digits" in captured.err
+        # the message quotes a prefix of the slot, not all 5000 digits
+        assert len(captured.err) < 120
+
+    def test_long_query_with_empty_entry_exit_one(self, tmp_path, capsys, golden_run):
+        # the message quotes a prefix of the query, not its 3000 entries
+        out = tmp_path / "structure.json"
+        out.write_text(dump_structure(golden_run.document))
+        query = "product: " + ",".join(["x", ""] + ["x"] * 2998)
+        assert main(["--query", query, "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error:") and "empty tuple entry" in captured.err
+        assert len(captured.err) < 120
 
     def test_file_number_too_long_exit_one(self, tmp_path, capsys, golden_run):
         # json.loads refuses such an integer with a ValueError that is not

@@ -11,8 +11,7 @@ from ainfinity.errors import (CertificateMissing, CommutationFailure,
 from ainfinity.kadeishvili import (AInfinityRecord, HElement,
                                    PeriodicityCertificate, UNIT, X, Y,
                                    first_complete_arity, insertion_sign,
-                                   monomial_degree, obstruction_terms,
-                                   split_sign)
+                                   monomial_degree, split_sign)
 from ainfinity.resolution import build_cyclic_resolution
 
 
@@ -49,14 +48,6 @@ class TestSigns:
             insertion_sign([1, 1, 1], 3, 2, 2)
         with pytest.raises(InvalidParameter):
             insertion_sign([1, 1, 1], 3, 0, 3)
-
-    def test_term_layout(self):
-        base = obstruction_terms([1, 1], 2)
-        assert len(base) == 1 and base[0].kind == "product" and base[0].sign == 1
-        terms = obstruction_terms([1, 1, 1], 3)
-        kinds = [(t.kind, t.s, t.k, t.j) for t in terms]
-        assert kinds == [("product", 1, None, None), ("product", 2, None, None),
-                         ("insertion", None, 0, 2), ("insertion", None, 1, 2)]
 
 
 class TestObstruction:
@@ -193,6 +184,8 @@ class TestLinearExtension:
             rec.certificates.clear()
             with pytest.raises(CertificateMissing):
                 rec.resolve_map((X, (1, 1)))
+            with pytest.raises(CertificateMissing):
+                rec.resolve_product((X, X, (1, 1)))
         finally:
             rec.certificates.update(saved_cert)
 
