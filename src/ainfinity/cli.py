@@ -81,10 +81,11 @@ _FACTOR_RE = re.compile(r"^(?:(\d+)|x(?:\^(\d+))?|y(?:\^(\d+))?)$")
 _MAX_DIGITS = 600
 
 
-def _quoted(text: str) -> str:
-    """`text` quoted for an error message, cut after 40 characters: a
-    query can be megabytes long."""
-    return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+def _quoted(value) -> str:
+    """repr of `value` for an error message, cut after 40 characters: a
+    query, or a value in a structure file, can be megabytes long."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 @functools.lru_cache(maxsize=1024)
@@ -234,7 +235,7 @@ def dump_structure(doc: dict) -> str:
 
 
 def _bad(what: str, value):
-    raise InvalidParameter(f"structure file has a missing or bad {what}: {value!r}")
+    raise InvalidParameter(f"structure file has a missing or bad {what}: {_quoted(value)}")
 
 
 # the fields the query reader uses on each product and map entry besides

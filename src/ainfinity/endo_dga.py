@@ -318,6 +318,8 @@ class EndomorphismAlgebra:
         once per degree to check the basis representatives.  Every module
         is R, which is commutative, so h -> d_k o h and h -> h o d_k are
         both multiplication by d_k, with coordinate matrix d_k.mult_matrix().
+        Only the band is written, each position's two disjoint blocks
+        already reduced mod p.
         """
         res = self.resolution
         q = self.q
@@ -326,10 +328,9 @@ class EndomorphismAlgebra:
         for n in range(degree + 1, res.length + 1):
             row, col = q * (n - degree - 1), q * (n - degree)
             # d o f_n contribution
-            out[row:row + q, col:col + q] += res.differential(n - degree).mult_matrix()
+            out[row:row + q, col:col + q] = res.differential(n - degree).mult_matrix()
             # -(-1)^g f_(n-1) o d_n contribution
-            out[row:row + q, col - q:col] -= sign * res.differential(n).mult_matrix()
-        out %= self.p
+            out[row:row + q, col - q:col] = (-sign * res.differential(n).mult_matrix()) % self.p
         return out
 
     # ----- homology ------------------------------------------------------------
@@ -423,14 +424,15 @@ class EndomorphismAlgebra:
         cached operators of its parity (`_homotopy_operators`).  Raises
         NotABoundary on every f that is not a boundary: a nonzero class
         fails the bottom equation, a non-cycle by the first position where
-        D f is nonzero.
+        D f is nonzero.  A zero f has the zero canonical homotopy (every
+        solve is homogeneous, with free coordinates zero), returned unsolved.
         """
         if f.degree < 1:
             raise InvalidParameter("a boundary has degree at least 1")
         res = self.resolution
         g = f.degree - 1
         L = res.length
-        if L < g + 1:
+        if L < g + 1 or f.is_zero():
             return self.zero(g)
         sign = -1 if g % 2 else 1
         q = res.algebra.q
@@ -488,8 +490,9 @@ class EndomorphismAlgebra:
             raise TruncationTooShort(
                 f"need {2 * period} positions to certify period {period}, "
                 f"have {L - base + 1}")
+        # zero components are not stored, so None stands for zero
         for n in range(base, L - period + 1):
-            if f.component(n) != f.component(n + period):
+            if f.components.get(n) != f.components.get(n + period):
                 raise NotPeriodic(
                     f"components differ between positions {n} and {n + period}")
         blocks = tuple(f.component(base + i) for i in range(period))

@@ -3,6 +3,8 @@
 The engine reads classes from one coefficient and solves nullhomotopies
 position by position; these functions work on whole-window coordinate
 vectors and `d_matrix` instead, so tests can check the engine against them.
+`expected_document` builds a whole reduced structure file from the closed
+form alone.
 """
 
 import numpy as np
@@ -58,3 +60,45 @@ def flattened_class_of(algebra, f):
     if x is None:
         raise TruncationTooShort(f"degree {g}: cycle outside representative and boundaries")
     return HomologyClass(g, int(x[0]))
+
+
+def expected_document(p, q, section, truncation):
+    """The reduced structure file at max_arity 2q, less its `format`, from
+    the closed form alone (Lu-Palmieri-Wu-Zhang, "A-infinity algebras for
+    ring theorists", 2004).
+
+    With c_n = (-1)^(n(n+1)/2) in the paper section and (-1)^(n(n-1)/2) in
+    auto: m_n(x, ..., x) is zero in degree 2 except m_q = c_q y; every
+    f_n(x, ..., x) has degree 1, period 2 and base 1, a zero odd block, and
+    the even block c_n a^(q-1-n) for 2 <= n < q, zero from n = q on.
+    Halting is complete at q + 1, and the verifier checks 2 max_arity - 1
+    identities.
+    """
+    shift = 1 if section == "paper" else -1
+    sign = {n: (-1) ** (n * (n + shift) // 2) % p for n in range(2, q + 1)}
+    max_arity = 2 * q
+
+    def block(n):
+        # the even block of f_n, as the (1, 1, q) component files store
+        coeffs = [0] * q
+        if n < q:
+            coeffs[q - 1 - n] = sign[n]
+        return [[coeffs]]
+
+    x = 1  # the index of x in the basis
+    arities = range(2, max_arity + 1)
+    return {
+        "header": {"p": p, "q": q, "period": 2, "truncation": truncation,
+                   "mode": "reduced", "f1": section, "max_arity": max_arity,
+                   "halting": {"status": "complete", "arity": q + 1},
+                   "mq_sign": sign[q]},
+        "basis": [{"index": 0, "name": "1", "eps": 0, "ypow": 0, "degree": 0},
+                  {"index": 1, "name": "x", "eps": 1, "ypow": 0, "degree": 1},
+                  {"index": 2, "name": "y", "eps": 0, "ypow": 1, "degree": 2}],
+        "products": [{"arity": n, "inputs": [x] * n, "degree": 2,
+                      "coords": [sign[q] if n == q else 0]} for n in arities],
+        "maps": [{"arity": n, "inputs": [x] * n, "degree": 1, "period": 2, "base": 1,
+                  "components": [[[[0] * q]], block(n)]} for n in arities],
+        "verification": {"enabled": True, "passed": True, "checked": 2 * max_arity - 1,
+                         "max_arity": max_arity, "first_failure": None},
+    }

@@ -11,6 +11,8 @@ import weakref
 import numpy as np
 import pytest
 
+import oracle
+from conftest import SWEEP
 from ainfinity import cli, ff_linalg
 from ainfinity.cli import (RunConfig, StructureDocument, default_truncation,
                            dump_structure, main, parse_element,
@@ -225,6 +227,30 @@ def test_auto_section_is_paper_pulled_back(p, q, mode):
     auto = json.loads(dump_structure(sweep_run(p, q, mode, "auto").document))
     assert auto["header"].pop("f1") == "auto" and paper["header"].pop("f1") == "paper"
     assert auto == paper
+
+
+def _reduced_file(result) -> dict:
+    doc = json.loads(dump_structure(result.document))
+    assert doc.pop("format") == cli.FORMAT_NAME
+    return doc
+
+
+@pytest.mark.parametrize("section", ["paper", "auto"])
+@pytest.mark.parametrize("p,q", SWEEP)
+def test_reduced_file_is_the_closed_form(p, q, section):
+    # the whole file, arities q..2q included, against the closed form
+    doc = _reduced_file(sweep_run(p, q, "reduced", section))
+    assert doc == oracle.expected_document(p, q, section, default_truncation(2 * q))
+
+
+@pytest.mark.parametrize("section", ["paper", "auto"])
+@pytest.mark.parametrize("p,q", [(3, 16), (3, 32), (7, 16), (7, 32)])
+def test_short_window_file_is_the_closed_form(p, q, section):
+    # q past the goldens, at a window short enough for the suite
+    result = run(RunConfig(p=p, q=q, max_arity=2 * q, f1_mode=section,
+                           truncation=7, verify=True))
+    assert result.exit_code == 0
+    assert _reduced_file(result) == oracle.expected_document(p, q, section, 7)
 
 
 class TestElementParsing:
@@ -527,6 +553,14 @@ class TestMain:
         captured = capsys.readouterr()
         assert not captured.out
         assert captured.err.startswith("error:")
+
+    def test_long_file_value_is_quoted_bounded(self, tmp_path, capsys, golden_run):
+        # the message quotes a prefix of the bad value, not its 5000 entries
+        def mutate(doc):
+            doc["maps"][0]["period"] = [0] * 5000
+        err = self._query_bad_file(tmp_path, capsys, golden_run, mutate)
+        assert "'period'" in err
+        assert len(err.strip()) < 200 and err.count("\n") == 1
 
     def test_query_on_a_directory_exit_one(self, tmp_path, capsys):
         assert main(["--query", "product: x,x,x", "--output", str(tmp_path)]) == 1

@@ -90,6 +90,8 @@ class TestFlattenedCoordinates:
         rng = np.random.default_rng(10 * p + q)
         for degree in range(0, 6):
             dmat = algebra.d_matrix(degree)
+            # every entry is written already reduced mod p
+            assert 0 <= dmat.min() and dmat.max() < p
             for _ in range(5):
                 f = oracle.random_endomorphism(algebra, rng, degree)
                 v = algebra.coords_of(f)
@@ -306,7 +308,11 @@ class TestNullhomotopy:
                 algebra.nullhomotopy(f)
 
     def test_zero_gives_zero(self, algebra):
-        assert algebra.nullhomotopy(algebra.zero(2)).is_zero()
+        # returned without a solve; the full per-position solve agrees
+        for degree in range(1, 7):
+            h = algebra.nullhomotopy(algebra.zero(degree))
+            assert h.is_zero() and h.degree == degree - 1
+            assert h == reference_nullhomotopy(algebra, algebra.zero(degree))
 
     def test_q4_pattern(self):
         algebra = make_algebra(2, 4)
@@ -352,6 +358,23 @@ class TestPeriodicCompact:
         f = algebra.from_components(2, comps)
         with pytest.raises(NotPeriodic):
             algebra.periodic_compact(f)
+
+    def test_missing_component_against_a_stored_one_rejected(self, algebra):
+        # a missing position is zero, so it differs from the stored one()
+        # two positions on either side of it
+        res = algebra.resolution
+        alg = res.algebra
+        comps = {n: alg.one() for n in range(2, res.length + 1) if n != 5}
+        f = algebra.from_components(2, comps)
+        assert 5 not in f.components and f.component(7) == alg.one()
+        with pytest.raises(NotPeriodic, match="positions 3 and 5"):
+            algebra.periodic_compact(f)
+
+    def test_zero_map_compacts_to_zero_blocks(self, algebra):
+        zero = algebra.zero(1)
+        compact = algebra.periodic_compact(zero)
+        assert compact.blocks == (algebra.resolution.algebra.zero(),) * 2
+        assert compact.expand(algebra) == zero
 
     def test_window_too_short(self):
         algebra = make_algebra(2, 4, length=12)
