@@ -33,7 +33,11 @@ prime field, locally wherever the resolution allows it:
   alternating (a^(q-2), 1) and (1, 1) pictures; in odd characteristic
   the sign alternation is forced by D f = d f + f d on degree-1 maps.
 
-Every module is R, so a component is one ring element.  The flattened
+Every module is R, so a component is one ring element, and an element
+stores only its nonzero components.  Each d_k multiplies by the monomial
+a or a^(q-1), so the differential moves coefficients up by that exponent
+at the positions where the element is stored and their successors, and
+composition walks the right factor's stored components.  The flattened
 path -- window-global coordinate vectors, the degree-g element's
 components as q-vectors laid end to end (f_n at offset q*(n - g)), and
 the differential as a matrix on them (`d_matrix`) -- checks each built
@@ -106,7 +110,7 @@ class GradedEndomorphism:
             lo, hi = degree, algebra.resolution.length
             if not lo <= n <= hi:
                 raise InvalidParameter(f"component position {n} outside [{lo}, {hi}]")
-            if m.algebra != ring:
+            if m.algebra is not ring and m.algebra != ring:
                 raise DimensionMismatch(
                     f"component at {n} lies in F_{m.algebra.p}[a]/(a^{m.algebra.q}), "
                     f"not in F_{ring.p}[a]/(a^{ring.q})")
@@ -258,34 +262,50 @@ class EndomorphismAlgebra:
     # ----- dg-algebra operations ----------------------------------------------
 
     def differential(self, f: GradedEndomorphism) -> GradedEndomorphism:
-        """D f = d o f - (-1)^|f| f o d, of degree |f| + 1."""
+        """D f = d o f - (-1)^|f| f o d, of degree |f| + 1.
+
+        Every d_k multiplies by a monomial a^e (`PeriodicResolution.exponent`),
+        and R is commutative, so both terms are coefficient shifts:
+        (D f)_n = a^e(n - g) f_n - (-1)^g a^e(n) f_(n-1).  Only positions
+        where f_n or f_(n-1) is stored are visited.
+        """
         res = self.resolution
+        ring = res.algebra
+        q = ring.q
         g = f.degree
         sign = -1 if g % 2 else 1
+        odd, even = res.exponent(1), res.exponent(2)
+        stored = f.components
         comps = {}
-        for n in range(g + 1, res.length + 1):
-            term = None
-            fn = f.components.get(n)
+        for n in sorted({m + i for m in stored for i in (0, 1)}):
+            if n <= g or n > res.length:
+                continue
+            out = np.zeros(q, dtype=np.int64)
+            fn = stored.get(n)
             if fn is not None:
-                term = res.differential(n - g).compose(fn)
-            fprev = f.components.get(n - 1)
+                e = odd if (n - g) % 2 else even
+                out[e:] = fn.coeffs[:q - e]
+            fprev = stored.get(n - 1)
             if fprev is not None:
-                right = fprev.compose(res.differential(n)).scale(sign)
-                term = -right if term is None else term - right
-            if term is not None:
-                comps[n] = term
+                e = odd if n % 2 else even
+                out[e:] -= sign * fprev.coeffs[:q - e]
+            comps[n] = ring.element(out)
         return GradedEndomorphism(self, g + 1, comps)
 
     def compose(self, f: GradedEndomorphism, g: GradedEndomorphism) -> GradedEndomorphism:
-        """(f o g)_n = f_(n - |g|) o g_n, of degree |f| + |g|."""
+        """(f o g)_n = f_(n - |g|) o g_n, of degree |f| + |g|.
+
+        Walks g's stored components and probes f's, so a product whose
+        factors are stored on disjoint positions costs one probe each.
+        """
         if f.algebra is not self or g.algebra is not self:
             raise DimensionMismatch("endomorphisms of a different algebra")
-        res = self.resolution
+        shift = g.degree
         comps = {}
-        for n in range(f.degree + g.degree, res.length + 1):
-            gn = g.components.get(n)
-            fm = f.components.get(n - g.degree)
-            if gn is not None and fm is not None:
+        for n, gn in g.components.items():
+            # f is stored only from position |f| on, so n >= |f| + |g| holds
+            fm = f.components.get(n - shift)
+            if fm is not None:
                 comps[n] = fm.compose(gn)
         return GradedEndomorphism(self, f.degree + g.degree, comps)
 
@@ -317,9 +337,10 @@ class EndomorphismAlgebra:
         Window-global and uncached: the oracle for `differential`, used
         once per degree to check the basis representatives.  Every module
         is R, which is commutative, so h -> d_k o h and h -> h o d_k are
-        both multiplication by d_k, with coordinate matrix d_k.mult_matrix().
-        Only the band is written, each position's two disjoint blocks
-        already reduced mod p.
+        both multiplication by d_k = a^e, whose coordinate matrix
+        d_k.mult_matrix() is the shift by e that `differential` applies to
+        coefficient vectors directly.  Only the band is written, each
+        position's two disjoint blocks already reduced mod p.
         """
         res = self.resolution
         q = self.q

@@ -375,9 +375,16 @@ class AInfinityRecord:
             if not (left.is_zero() or right.is_zero()):
                 sign = split_sign(degrees, n, s) if n > 2 else 1
                 total = total + self.algebra.compose(left, right).scale(sign)
+        # on a word of one repeated letter every inner tuple of arity j is
+        # the same, so its value is resolved once per j and a zero one
+        # skips the offsets
+        repeated = key.count(key[0]) == n
         for j in range(2, n):
+            shared = self.resolve_product(key[:j]) if repeated else None
+            if shared is not None and shared.is_zero():
+                continue
             for k in range(n - j + 1):
-                inner = self.resolve_product(key[k:k + j])
+                inner = shared if repeated else self.resolve_product(key[k:k + j])
                 if inner.is_zero():
                     continue
                 outer = key[:k] + (monomial_of_degree(inner.degree),) + key[k + j:]
@@ -483,24 +490,32 @@ class AInfinityRecord:
 
     def extend_linear(self, elements) -> tuple:
         """(m value, f value) on a tuple of ring elements, by multilinear
-        expansion over the monomial basis.
+        expansion over the monomial basis x^e y^j, with e in {0, 1} and
+        j >= 0.
 
-        Each slot must be homogeneous, over monomials x^e y^j with e in
-        {0, 1} and j >= 0.  The product comes back as a formal combination,
-        the map as a single endomorphism.
+        The product comes back as a formal combination, on any slots.  The
+        map comes back as a single endomorphism, so its nonzero terms must
+        share one degree (InvalidParameter otherwise); a zero map has the
+        degree of the tuple of each slot's lowest-degree monomial.
         """
         p = self.algebra.p
         slots = [self._as_element(el) for el in elements]
-        if any(len(slot.degrees()) > 1 for slot in slots):
-            raise InvalidParameter("linear extension needs homogeneous slots")
         n = len(slots)
-        degree_sum = sum(next(iter(s.degrees()), 0) for s in slots)
         m_value = linear_product(slots, p, self.resolve_product)
-        f_acc = self.algebra.zero(max(degree_sum + 1 - n, 0))
+        f_acc = None
         for key, coeff in monomial_terms(slots, p):
             f_val = self.resolve_map(key)
-            if not f_val.is_zero():
-                f_acc = f_acc + f_val.scale(coeff)
+            if f_val.is_zero():
+                continue
+            if f_acc is not None and f_acc.degree != f_val.degree:
+                raise InvalidParameter(
+                    f"the map's terms fall in degrees {f_acc.degree} and "
+                    f"{f_val.degree}; a map value needs one degree")
+            f_val = f_val.scale(coeff)
+            f_acc = f_val if f_acc is None else f_acc + f_val
+        if f_acc is None:
+            lowest = sum(min(s.degrees(), default=0) for s in slots)
+            f_acc = self.algebra.zero(max(lowest + 1 - n, 0))
         return m_value, f_acc
 
     def _as_element(self, el) -> HElement:

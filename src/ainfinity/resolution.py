@@ -83,12 +83,13 @@ class AlgebraMap:
         return self.coeffs.reshape(1, 1, -1)
 
     def is_zero(self) -> bool:
-        return not self.coeffs.any()
+        # count_nonzero costs a fraction of ndarray.any on q-vectors
+        return not np.count_nonzero(self.coeffs)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AlgebraMap)
-            and self.algebra == other.algebra
+            and (self.algebra is other.algebra or self.algebra == other.algebra)
             and bool(np.array_equal(self.coeffs, other.coeffs))
         )
 
@@ -157,10 +158,16 @@ class PeriodicResolution:
             raise InvalidParameter(f"length={length} must be >= 2")
         self.algebra = algebra
         self.length = length
-        self._mult_a = algebra.alpha(1)
-        self._mult_a_top = algebra.alpha(algebra.q - 1)
+        self._mult_a = algebra.alpha(self.exponent(1))
+        self._mult_a_top = algebra.alpha(self.exponent(2))
         if not self._mult_a.compose(self._mult_a_top).is_zero():
             raise InvalidParameter("d o d != 0")
+
+    def exponent(self, n: int) -> int:
+        """The e with d_n multiplication by a^e: 1 for odd n, q - 1 for even n."""
+        if not 1 <= n <= self.length:
+            raise InvalidParameter(f"differential index {n} outside 1..{self.length}")
+        return 1 if n % 2 else self.algebra.q - 1
 
     def differential(self, n: int) -> AlgebraMap:
         if not 1 <= n <= self.length:

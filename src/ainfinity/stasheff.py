@@ -46,9 +46,14 @@ def _insertions(record: AInfinityRecord, key: tuple, degrees: list):
     coefficient of the inner class, whose monomial takes the place of
     a_(r+1)..a_(r+s) in the outer tuple."""
     n = len(key)
+    # when every a_i is the same monomial, m_s takes one value at every r
+    same = all(m == key[0] for m in key)
     for s in range(2, n):
+        first = record.resolve_product(key[:s]) if same else None
+        if first is not None and first.is_zero():
+            continue
         for r in range(0, n - s + 1):
-            inner = record.resolve_product(key[r:r + s])
+            inner = first if same else record.resolve_product(key[r:r + s])
             if inner.is_zero():
                 continue
             exponent = r + s * (n - s - r) + (2 - s) * sum(degrees[:r])

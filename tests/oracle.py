@@ -22,6 +22,31 @@ def random_endomorphism(algebra, rng, degree):
     return algebra.from_components(degree, comps)
 
 
+def sparse_endomorphism(algebra, rng, degree, positions):
+    """A degree-g element stored at `positions` only: each component a
+    random vector or, half the time, one random monomial c*a^i, so the
+    top coefficient a^(q-1) turns up, where a shift by a^e drops it."""
+    ring = algebra.resolution.algebra
+    comps = {}
+    for n in positions:
+        if rng.random() < 0.5:
+            coeffs = rng.integers(0, algebra.p, size=algebra.q)
+        else:
+            coeffs = [0] * algebra.q
+            coeffs[int(rng.integers(0, algebra.q))] = int(rng.integers(1, algebra.p))
+        comps[n] = ring.element(coeffs)
+    return algebra.from_components(degree, comps)
+
+
+def sparse_supports(algebra, rng, degree):
+    """Position sets of a degree-g element: three random subsets, the even
+    positions, the odd ones, and none."""
+    positions = range(degree, algebra.resolution.length + 1)
+    subsets = [[n for n in positions if rng.random() < 0.35] for _ in range(3)]
+    return subsets + [[n for n in positions if n % 2 == 0],
+                      [n for n in positions if n % 2], []]
+
+
 def homology_dimension(algebra, degree):
     """dim ker D - dim im D.  Degree 0 is the action on the augmented
     homology (its homotopies have degree -1, outside the window): 1."""
@@ -62,6 +87,36 @@ def flattened_class_of(algebra, f):
     return HomologyClass(g, int(x[0]))
 
 
+def closed_form_sign(p, section, n):
+    """c_n mod p: (-1)^(n(n+1)/2) in the paper section, (-1)^(n(n-1)/2) in auto."""
+    shift = 1 if section == "paper" else -1
+    return (-1) ** (n * (n + shift) // 2) % p
+
+
+def expected_entry(p, q, section, key):
+    """The closed-form values on a tuple of basis monomials (e, j), as
+    ((product degree, coefficient), (map degree, even block, odd block)),
+    the blocks being f_n's q coefficients at even and at odd positions.
+
+    A tuple of x y^j slots takes the pure-x values of its arity shifted by
+    y^(j_1 + ... + j_n): the same coefficient and components, two degrees
+    up per y.  Arity-2 products are the ring product (x^2 = 0).  Above it,
+    a unit or pure y-power slot makes the product zero (strict unitality
+    and y-linearity), and at every arity it makes the map zero.
+    """
+    n = len(key)
+    degree = sum(e + 2 * j for e, j in key)
+    odd = all(e for e, _ in key)
+    if n == 2:
+        coeff = 0 if key[0][0] and key[1][0] else 1
+    else:
+        coeff = closed_form_sign(p, section, q) if odd and n == q else 0
+    even_block = [0] * q
+    if odd and n < q:
+        even_block[q - 1 - n] = closed_form_sign(p, section, n)
+    return (degree + 2 - n, coeff), (degree + 1 - n, even_block, [0] * q)
+
+
 def expected_document(p, q, section, truncation):
     """The reduced structure file at max_arity 2q, less its `format`, from
     the closed form alone (Lu-Palmieri-Wu-Zhang, "A-infinity algebras for
@@ -74,8 +129,7 @@ def expected_document(p, q, section, truncation):
     Halting is complete at q + 1, and the verifier checks 2 max_arity - 1
     identities.
     """
-    shift = 1 if section == "paper" else -1
-    sign = {n: (-1) ** (n * (n + shift) // 2) % p for n in range(2, q + 1)}
+    sign = {n: closed_form_sign(p, section, n) for n in range(2, q + 1)}
     max_arity = 2 * q
 
     def block(n):

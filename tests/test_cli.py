@@ -187,8 +187,7 @@ def test_record_and_its_file_agree(p, q, mode, f1_mode):
                for m in map(_POSITION_RE.match, lines[2:2 + period])]
         assert got == [(value.degree + i, value.component(value.degree + i).entries.tolist())
                        for i in range(period)], expr
-    # a multi-term slot is inhomogeneous, which the record's extend_linear
-    # refuses, so the record answers term by term
+    # multi-term slots: the record answers them whole, and term by term
     for names in multi_term_tuples(q):
         slots = [parse_element(name, p) for name in names]
         terms = {}
@@ -197,7 +196,21 @@ def test_record_and_its_file_agree(p, q, mode, f1_mode):
             for mono, c in value.terms.items():
                 terms[mono] = terms.get(mono, 0) + c
         expr = ", ".join(names)
-        assert run_query("product: " + expr, doc) == [str(HElement(p, terms))], expr
+        want = [str(HElement(p, terms))]
+        assert run_query("product: " + expr, doc) == want, expr
+        assert [str(record.extend_linear(slots)[0])] == want, expr
+
+
+@pytest.mark.parametrize("mode", ["reduced", "brute-force"])
+@pytest.mark.parametrize("f1_mode", ["paper", "auto"])
+def test_record_answers_an_inhomogeneous_slot_as_the_file_does(mode, f1_mode):
+    # the record once refused these slots, which the file answers
+    result = sweep_run(2, 4, mode, f1_mode)
+    names = ["x + y*x", "x", "x", "x"]
+    m_value, f_value = result.record.extend_linear([parse_element(s, 2) for s in names])
+    assert run_query("product: " + ", ".join(names), result.document) == ["y + y^2"]
+    assert str(m_value) == "y + y^2"
+    assert f_value.is_zero()
 
 
 def _pulled_back(doc, p):
@@ -244,13 +257,44 @@ def test_reduced_file_is_the_closed_form(p, q, section):
 
 
 @pytest.mark.parametrize("section", ["paper", "auto"])
-@pytest.mark.parametrize("p,q", [(3, 16), (3, 32), (7, 16), (7, 32)])
+@pytest.mark.parametrize("p,q", [(3, 16), (3, 32), (3, 48), (7, 16), (7, 32), (7, 48)])
 def test_short_window_file_is_the_closed_form(p, q, section):
     # q past the goldens, at a window short enough for the suite
     result = run(RunConfig(p=p, q=q, max_arity=2 * q, f1_mode=section,
                            truncation=7, verify=True))
     assert result.exit_code == 0
     assert _reduced_file(result) == oracle.expected_document(p, q, section, 7)
+
+
+@pytest.mark.parametrize("section", ["paper", "auto"])
+@pytest.mark.parametrize("p,q", SWEEP)
+def test_brute_file_is_the_closed_form(p, q, section):
+    # which tuples the recursion reaches is the engine's business, so the
+    # keys come from the file; every stored value is the closed form's
+    doc = json.loads(dump_structure(sweep_run(p, q, "brute-force", section).document))
+    header = doc["header"]
+    assert header["halting"] == {"status": "complete", "arity": q + 1}
+    assert header["mq_sign"] == oracle.closed_form_sign(p, section, q)
+    assert doc["verification"]["passed"]
+    monos = {b["index"]: (b["eps"], b["ypow"]) for b in doc["basis"]}
+    keys = set()
+    for entry in doc["products"]:
+        key = tuple(monos[i] for i in entry["inputs"])
+        (degree, coeff), _ = oracle.expected_entry(p, q, section, key)
+        assert (entry["degree"], entry["coords"]) == (degree, [coeff]), key
+        keys.add(key)
+    for entry in doc["maps"]:
+        key = tuple(monos[i] for i in entry["inputs"])
+        _, (degree, even, odd) = oracle.expected_entry(p, q, section, key)
+        # a brute map lists every position from its base to the window's end
+        assert (entry["degree"], entry["period"], entry["base"]) == (degree, 0, degree), key
+        assert entry["base"] + len(entry["components"]) == header["truncation"] + 1, key
+        for position, comp in enumerate(entry["components"], entry["base"]):
+            assert comp == [[odd if position % 2 else even]], (key, position)
+        keys.add(key)
+    # the y shifts and pure-y slots are exercised, not only the x words
+    assert any(j for key in keys for _, j in key)
+    assert any(not e for key in keys for e, _ in key)
 
 
 class TestElementParsing:

@@ -100,6 +100,72 @@ class TestFlattenedCoordinates:
                                       algebra.coords_of(f.differential()))
 
 
+def reference_compose(algebra, f, g):
+    """f o g by the per-position rule at every window position."""
+    comps = {n: f.component(n - g.degree).compose(g.component(n))
+             for n in range(f.degree + g.degree, algebra.resolution.length + 1)}
+    return algebra.from_components(f.degree + g.degree, comps)
+
+
+#: every prime the engine is tested over, with q = 3 (where a^(q-1) = a^2,
+#: so both differentials are short shifts) beside longer rings
+SPARSE_RINGS = [(2, 3), (2, 5), (3, 3), (3, 8), (5, 3), (5, 4), (7, 3), (7, 6)]
+
+
+class TestSparseElements:
+    """The differential as coefficient shifts over stored positions, and
+    composition over g's stored components, against window-wide oracles."""
+
+    @pytest.mark.parametrize("p,q", SPARSE_RINGS)
+    def test_differential_is_the_d_matrix(self, p, q):
+        algebra = make_algebra(p, q, length=11)
+        rng = np.random.default_rng(7 * p + q)
+        for degree in range(0, 5):
+            dmat = algebra.d_matrix(degree)
+            for support in oracle.sparse_supports(algebra, rng, degree):
+                f = oracle.sparse_endomorphism(algebra, rng, degree, support)
+                df = algebra.differential(f)
+                assert df.degree == degree + 1
+                assert np.array_equal((dmat @ algebra.coords_of(f)) % p,
+                                      algebra.coords_of(df)), (degree, support)
+
+    @pytest.mark.parametrize("p,q", SPARSE_RINGS)
+    def test_compose_is_the_per_position_product(self, p, q):
+        algebra = make_algebra(p, q, length=11)
+        rng = np.random.default_rng(11 * p + q)
+        for df, dg in [(0, 0), (1, 1), (1, 2), (2, 1), (3, 2), (0, 4)]:
+            f_supports = oracle.sparse_supports(algebra, rng, df)
+            g_supports = oracle.sparse_supports(algebra, rng, dg)
+            for f_support, g_support in zip(f_supports, g_supports[::-1]):
+                f = oracle.sparse_endomorphism(algebra, rng, df, f_support)
+                g = oracle.sparse_endomorphism(algebra, rng, dg, g_support)
+                assert algebra.compose(f, g) == reference_compose(algebra, f, g)
+                assert algebra.compose(g, f) == reference_compose(algebra, g, f)
+
+    def test_even_supports_compose_to_zero(self):
+        # (f o g)_n = f_(n-1) o g_n: two degree-1 maps stored at even
+        # positions only, as every f_n(x, ..., x) is, meet nowhere
+        algebra = make_algebra(5, 4, length=11)
+        rng = np.random.default_rng(3)
+        f = oracle.sparse_endomorphism(algebra, rng, 1, range(2, 12, 2))
+        g = oracle.sparse_endomorphism(algebra, rng, 1, range(2, 12, 2))
+        assert algebra.compose(f, g).is_zero()
+        assert reference_compose(algebra, f, g).is_zero()
+
+    @pytest.mark.parametrize("p,q", SPARSE_RINGS)
+    def test_only_the_top_coefficient_is_nonzero(self, p, q):
+        ring = TruncatedPolyAlgebra(p, q)
+        top = ring.alpha(q - 1, coeff=p - 1)
+        assert not top.is_zero()
+        assert ring.zero().is_zero()
+        algebra = make_algebra(p, q, length=8)
+        f = algebra.from_components(1, {2: top, 3: ring.zero()})
+        assert list(f.components) == [2]
+        # d_1 o f_2 and f_2 o d_3 multiply a^(q-1) by a: the one coefficient
+        # shifts out, so the differential of f is zero
+        assert algebra.differential(f).is_zero()
+
+
 class TestCompose:
     def test_eta_squared_all_identities(self, algebra):
         eta = algebra.rep_y()

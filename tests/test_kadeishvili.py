@@ -163,10 +163,28 @@ class TestLinearExtension:
         assert m.is_zero() and f.is_zero()
 
     def test_inhomogeneous_slot_rejected(self, record_2_4):
+        # only a map whose nonzero terms fall in two degrees is refused:
+        # f_2(x, x) has degree 1 and f_2(y*x, x) degree 3
+        rec, _ = record_2_4
+        mixed = HElement(2, {X: 1, (1, 1): 1})
+        with pytest.raises(InvalidParameter, match="degrees 1 and 3"):
+            rec.extend_linear([mixed, X])
+
+    def test_inhomogeneous_slot_with_one_map_degree_answered(self, record_2_4):
+        # f_2(y, x) is zero (a pure-y slot), so the map is f_2(x, x) alone,
+        # and the product is m_2(x, x) + m_2(y, x) = x*y
         rec, _ = record_2_4
         mixed = HElement(2, {X: 1, (0, 1): 1})
-        with pytest.raises(InvalidParameter):
-            rec.extend_linear([mixed, X])
+        m, f = rec.extend_linear([mixed, X])
+        assert str(m) == "x*y"
+        assert f == rec.f_table[(X, X)]
+
+    def test_inhomogeneous_zero_map_takes_the_lowest_degree(self, record_2_4):
+        # the slots of the unmended refusal: f_4 is zero on both expansions
+        rec, _ = record_2_4
+        m, f = rec.extend_linear([HElement(2, {X: 1, (1, 1): 1}), X, X, X])
+        assert str(m) == "y + y^2"
+        assert f.is_zero() and f.degree == 1
 
     @pytest.mark.parametrize("slot", [(2, 0), (1, -1), HElement(3, {(2, 0): 1})])
     def test_slot_outside_the_monomial_basis_rejected(self, record_3_3, slot):

@@ -1,10 +1,15 @@
 """Independent identity verification: residuals, failure reporting."""
 
+import numpy as np
 import pytest
 
+import oracle
 from conftest import computed_record
+from ainfinity.endo_dga import HomologyClass
 from ainfinity.errors import UnresolvableValue
-from ainfinity.kadeishvili import AInfinityRecord, X, Y
+from ainfinity.kadeishvili import (AInfinityRecord, X, Y, insertion_sign,
+                                   monomial_degree, monomial_of_degree,
+                                   split_sign)
 from ainfinity.stasheff import (check_morphism, check_structure,
                                 verify_structure)
 
@@ -136,3 +141,138 @@ class TestPsiCycleGuard:
         rec.f_table[(X, X)] = rec.algebra.from_components(1, junk)
         with pytest.raises(PsiNotCycle):
             rec.obstruction((X, X, X))
+
+
+# ----- every term walked ----------------------------------------------------------
+#
+# The engine and the verifier resolve the inner product of an insertion once
+# per inner arity on a word of one repeated letter, and skip its offsets when
+# it is zero.  These walks evaluate every term, zero or not, and must agree.
+
+def _insertion_terms(rec, key):
+    """(j, k, inner class, outer tuple) of every insertion, none skipped."""
+    n = len(key)
+    for j in range(2, n):
+        for k in range(n - j + 1):
+            inner = rec.resolve_product(key[k:k + j])
+            outer = key[:k] + (monomial_of_degree(inner.degree),) + key[k + j:]
+            yield j, k, inner, outer
+
+
+def unskipped_obstruction(rec, key):
+    n = len(key)
+    algebra = rec.algebra
+    degrees = [monomial_degree(m) for m in key]
+    total = algebra.zero(sum(degrees) + 2 - n)
+    for s in range(1, n):
+        sign = split_sign(degrees, n, s) if n > 2 else 1
+        product = algebra.compose(rec.resolve_map(key[:s]), rec.resolve_map(key[s:]))
+        total = total + product.scale(sign)
+    for j, k, inner, outer in _insertion_terms(rec, key):
+        sign = insertion_sign(degrees, n, k, j)
+        total = total + rec.resolve_map(outer).scale(sign * inner.coeff)
+    return total
+
+
+def _verifier_sign(key, degrees, s, r):
+    # (-1)^(r+st) with t = n - s - r, and the Koszul sign of m_s passing a_1..a_r
+    n = len(key)
+    exponent = r + s * (n - s - r) + (2 - s) * sum(degrees[:r])
+    return -1 if exponent % 2 else 1
+
+
+def unskipped_structure_residual(rec, key):
+    n, p = len(key), rec.algebra.p
+    degrees = [monomial_degree(m) for m in key]
+    residual = HomologyClass(sum(degrees) + 3 - n, 0)
+    for s, r, inner, outer in _insertion_terms(rec, key):
+        coeff = _verifier_sign(key, degrees, s, r) * inner.coeff
+        residual = residual.add(rec.resolve_product(outer).scale(coeff, p), p)
+    return residual
+
+
+def unskipped_morphism_residual(rec, key):
+    n = len(key)
+    algebra = rec.algebra
+    degrees = [monomial_degree(m) for m in key]
+    total = algebra.zero(max(sum(degrees) + 2 - n, 0))
+    for s, r, inner, outer in _insertion_terms(rec, key):
+        coeff = _verifier_sign(key, degrees, s, r) * inner.coeff
+        total = total + rec.resolve_map(outer).scale(coeff)
+    total = total - rec.f1_of_class(rec.resolve_product(key))
+    total = total - algebra.differential(rec.resolve_map(key))
+    kappa = -1 if n == 2 else 1
+    for s in range(1, n):
+        exponent = (s - 1) + (1 - (n - s)) * sum(degrees[:s])
+        sign = -kappa * (-1 if exponent % 2 else 1)
+        product = algebra.compose(rec.resolve_map(key[:s]), rec.resolve_map(key[s:]))
+        total = total + product.scale(sign)
+    return total
+
+
+@pytest.mark.parametrize("f1_mode", ["paper", "auto"])
+@pytest.mark.parametrize("p,q", [(3, 9), (5, 12)])
+def test_pure_x_walks_match_every_term(p, q, f1_mode):
+    rec, _ = computed_record(p, q, f1_mode=f1_mode)
+    for n in range(2, 2 * q + 1):
+        key = (X,) * n
+        assert rec.obstruction(key) == unskipped_obstruction(rec, key), n
+        assert check_structure(rec, n, key) == unskipped_structure_residual(rec, key), n
+        assert check_morphism(rec, n, key) == unskipped_morphism_residual(rec, key), n
+
+
+class TestCorruptedTables:
+    """A corrupted stored value is reported where it was before the inner
+    products were resolved once per arity: a wrong m_2(y, x) is read only
+    through the insertion of m_q at arity q + 1, and a wrong m_q first
+    breaks the morphism identity at arity q, at position 2.  A boundary
+    added to f_2(y, x) reaches Psi_(q+1) the same way."""
+
+    @pytest.mark.parametrize("mode", ["reduced", "brute"])
+    @pytest.mark.parametrize("p,q", [(2, 4), (3, 3), (5, 5)])
+    @pytest.mark.parametrize("key", [(Y, X), (X, Y)])
+    def test_map_on_a_y_slot_reaches_the_obstruction(self, mode, p, q, key):
+        base, _ = computed_record(p, q, mode=mode)
+        rec = AInfinityRecord(base.algebra, mode=mode)
+        rec.compute_structure(2 * q)
+        word = (X,) * (q + 1)
+        before = rec.obstruction(word)
+        h = oracle.random_endomorphism(rec.algebra, np.random.default_rng(p * q), 1)
+        rec.f_table[key] = rec.resolve_map(key) + rec.algebra.differential(h)
+        after = rec.obstruction(word)
+        assert after != before
+        assert after == unskipped_obstruction(rec, word)
+        assert check_morphism(rec, q + 1, word) == unskipped_morphism_residual(rec, word)
+
+    @pytest.mark.parametrize("mode", ["reduced", "brute"])
+    @pytest.mark.parametrize("p,q", [(2, 4), (3, 3), (5, 5)])
+    @pytest.mark.parametrize("key", [(Y, X), (X, Y)])
+    def test_wrong_ring_product_fails_through_the_insertion(self, mode, p, q, key):
+        base, _ = computed_record(p, q, mode=mode)
+        rec = AInfinityRecord(base.algebra, mode=mode)
+        rec.compute_structure(2 * q)
+        value = rec.resolve_product(key)
+        rec.m_table[key] = HomologyClass(3, (value.coeff + 1) % p)
+        report = verify_structure(rec, 2 * q)
+        failure = report.first_failure
+        assert (failure.identity, failure.arity, failure.key, failure.position) == \
+            ("structure", q + 1, (X,) * (q + 1), "degree 3")
+        assert report.checked == 2 * q
+        n = q + 1
+        assert check_structure(rec, n, (X,) * n) == \
+            unskipped_structure_residual(rec, (X,) * n)
+
+    @pytest.mark.parametrize("mode", ["reduced", "brute"])
+    @pytest.mark.parametrize("p,q", [(2, 4), (3, 3), (5, 5)])
+    def test_wrong_mq_fails_the_morphism_identity(self, mode, p, q):
+        base, _ = computed_record(p, q, mode=mode)
+        rec = AInfinityRecord(base.algebra, mode=mode)
+        rec.compute_structure(2 * q)
+        key = (X,) * q
+        rec.m_table[key] = HomologyClass(2, (rec.m_table[key].coeff + 1) % p)
+        failure = verify_structure(rec, 2 * q).first_failure
+        assert (failure.identity, failure.arity, failure.key, failure.position) == \
+            ("morphism", q, key, 2)
+        for n in range(q + 1, 2 * q + 1):
+            assert check_structure(rec, n, (X,) * n) == \
+                unskipped_structure_residual(rec, (X,) * n)
