@@ -18,11 +18,11 @@ prime field, locally wherever the resolution allows it:
   degree's representative (in degree 0 the identity, whose coefficient is 1);
 * nullhomotopies are solved position by position from the bottom of the
   truncation upward, always taking the canonical solution (free
-  coordinates zero).  Above the joint bottom equation the per-position
-  operators repeat with the period, so one elimination per (degree,
-  position mod period) is cached on the algebra.  On periodic input
-  this reproduces the periodic homotopies of the cyclic resolution on
-  the nose;
+  coordinates zero).  Above the joint bottom equation each position is
+  a coefficient shift: multiplication by a^l has the vectors without
+  coefficients below a^l as its image, and moving them down l places
+  inverts it.  On periodic input this reproduces the periodic homotopies
+  of the cyclic resolution on the nose;
 * Ext is exterior(x) (x) k[y], one-dimensional in every degree and
   generated in degrees 1 and 2, so a section is a choice of two
   generators and every other representative is a composite of them
@@ -45,9 +45,9 @@ representative once per degree and echelonizes the "auto" generators.
 The flattened class read and dimension count live with the tests
 (tests/oracle.py).
 
-The engine is single-threaded: the computation is one batch job.  It
-caches one representative per degree and the per-parity homotopy
-operators, each built on first use and immutable after.
+The engine is single-threaded: the computation is one batch job.  Its
+one cache (`_basis`) holds one representative per degree, built on first
+use and immutable after.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InvalidParameter, NotABoundary,
                      NotACycle, NotPeriodic, TruncationTooShort)
-from .ff_linalg import SolveContext, kernel_basis_array, rref_array, solve_array
+from .ff_linalg import kernel_basis_array, rref_array, solve_array
 from .resolution import AlgebraMap, PeriodicResolution
 
 
@@ -218,7 +218,6 @@ class EndomorphismAlgebra:
             raise InvalidParameter(f"unknown f1 mode {f1_mode!r}")
         self.resolution = res
         self.f1_mode = f1_mode
-        self._homotopy_ops: dict[tuple, tuple] = {}
         self._basis: dict[int, GradedEndomorphism] = {}
 
     # ----- basic constructors -------------------------------------------------
@@ -441,12 +440,15 @@ class EndomorphismAlgebra:
         """Canonical h with D h = f, solved from the bottom position upward.
 
         The first window equation is solved jointly for the two lowest
-        components; every later position is a canonical solve against the
-        cached operators of its parity (`_homotopy_operators`).  Raises
-        NotABoundary on every f that is not a boundary: a nonzero class
-        fails the bottom equation, a non-cycle by the first position where
-        D f is nonzero.  A zero f has the zero canonical homotopy (every
-        solve is homogeneous, with free coordinates zero), returned unsolved.
+        components.  Every later position n solves a^l h_n = f_n +
+        (-1)^g a^r h_(n-1), with d_(n-g) = a^l and d_n = a^r, as coefficient
+        shifts: the right side has a solution exactly when its coefficients
+        below a^l vanish, and the canonical one (free coordinates zero) is
+        the right side moved down l places.  Raises NotABoundary on every f
+        that is not a boundary: a nonzero class fails the bottom equation,
+        a non-cycle by the first position where D f is nonzero.  A zero f
+        has the zero canonical homotopy (every solve is homogeneous, with
+        free coordinates zero), returned unsolved.
         """
         if f.degree < 1:
             raise InvalidParameter("a boundary has degree at least 1")
@@ -472,31 +474,16 @@ class EndomorphismAlgebra:
         prev = x[q:]
         comps[n0] = res.algebra.element(prev)
         for n in range(n0 + 1, L + 1):
-            left, right = self._homotopy_operators(g, n)
-            rhs = (f.component(n).coeffs + sign * (right @ prev)) % p
-            x = left.solve(rhs)
-            if x is None:
+            r, l = res.exponent(n), res.exponent(n - g)
+            rhs = f.component(n).coeffs.copy()
+            rhs[r:] += sign * prev[:q - r]
+            rhs %= p
+            if np.count_nonzero(rhs[:l]):
                 raise NotABoundary(f"no homotopy at position {n}")
-            comps[n] = res.algebra.element(x)
-            prev = x
+            prev = np.zeros(q, dtype=np.int64)
+            prev[:q - l] = rhs[l:]
+            comps[n] = res.algebra.element(prev)
         return GradedEndomorphism(self, g, comps)
-
-    def _homotopy_operators(self, g: int, n: int) -> tuple:
-        """(SolveContext of h_n -> d o h_n, matrix of h_(n-1) -> h_(n-1) o d_n)
-        for a degree-g homotopy at position n >= g + 2.
-
-        Both are multiplication by a differential (see `d_matrix`), and
-        every index involved is at least 1, where the differentials repeat
-        with the period, so the pair depends on n mod period only.
-        """
-        res = self.resolution
-        key = (g, n % res.period)
-        ops = self._homotopy_ops.get(key)
-        if ops is None:
-            ops = (SolveContext(res.differential(n - g).mult_matrix(), self.p),
-                   res.differential(n).mult_matrix())
-            self._homotopy_ops[key] = ops
-        return ops
 
     def periodic_compact(self, f: GradedEndomorphism) -> CompactForm:
         """Compress f to one period of the resolution, or raise NotPeriodic.

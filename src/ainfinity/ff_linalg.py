@@ -97,20 +97,14 @@ def rank_array(a: np.ndarray, p: int) -> int:
 def solve_array(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     """Canonical solution of a x = b mod p, or None when inconsistent.
 
-    Canonical means: non-pivot coordinates are zero.
+    Canonical means: non-pivot coordinates are zero.  One solve against
+    `SolveContext`, which owns the elimination.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"solve with shapes {a.shape} and {b.shape}")
-    aug = np.concatenate([a % p, (b % p).reshape(-1, 1)], axis=1)
-    r, pivots = rref_array(aug, p)
-    if a.shape[1] in pivots:
-        return None
-    x = np.zeros(a.shape[1], dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = r[i, -1]
-    return x
+    return SolveContext(a, p).solve(b)
 
 
 def kernel_basis_array(a: np.ndarray, p: int) -> list[np.ndarray]:
@@ -134,8 +128,8 @@ class SolveContext:
     """Repeated canonical solves against one fixed matrix.
 
     Eliminates [m | I] once; afterwards each solve is a single matrix-vector
-    product plus a consistency check, with the same canonical answer that
-    `solve_array` would give.
+    product plus a consistency check, giving the canonical solution
+    (non-pivot coordinates zero).
     """
 
     def __init__(self, m: np.ndarray, p: int):

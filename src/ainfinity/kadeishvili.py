@@ -399,11 +399,6 @@ class AInfinityRecord:
         return total
 
     def _compute_pair(self, key: tuple):
-        n = len(key)
-        for lower in range(2, n):
-            if lower not in self.computed_arities and self.mode == "reduced":
-                raise UnresolvableValue(
-                    f"arity {n} requested before arity {lower} was computed")
         psi = self.obstruction(key)
         product = self.algebra.class_of(psi)
         rhs = psi - self.f1_of_class(product) if not product.is_zero() else psi
@@ -523,6 +518,8 @@ class AInfinityRecord:
             el = HElement.monomial(self.algebra.p, el)
         if not isinstance(el, HElement):
             raise InvalidParameter(f"cannot interpret {el!r} as a ring element")
+        if el.p != self.algebra.p:
+            raise InvalidParameter(f"element over F_{el.p}, not F_{self.algebra.p}")
         self._accept_key(el.terms)
         return el
 

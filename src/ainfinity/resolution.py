@@ -16,6 +16,7 @@ kernel of R -> k (evaluation at a = 0), is multiplication by a.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ class TruncatedPolyAlgebra:
 
     p: int
     q: int
-    field: PrimeField = None  # derived from p, set in __post_init__
+    field: PrimeField = dataclasses.field(init=False)  # derived from p
 
     def __post_init__(self):
         if self.q < 3:

@@ -321,7 +321,8 @@ class TestAutoSection:
 
 
 def reference_nullhomotopy(algebra, f):
-    """Per-position canonical solves with freshly built operators."""
+    """Per-position canonical solves with freshly built operators; raises
+    NotABoundary at the first position without a solution."""
     res = algebra.resolution
     p, q = algebra.p, algebra.q
     g = f.degree - 1
@@ -334,26 +335,59 @@ def reference_nullhomotopy(algebra, f):
     n0 = g + 1
     joint = np.concatenate([(-sign * op(n0)) % p, op(1)], axis=1)
     x = solve_array(joint, f.component(n0).coeffs, p)
+    if x is None:
+        raise NotABoundary(f"no homotopy at position {n0}")
     comps = {g: res.algebra.element(x[:q]), n0: res.algebra.element(x[q:])}
     prev = x[q:]
     for n in range(n0 + 1, res.length + 1):
         rhs = (f.component(n).coeffs + sign * (op(n) @ prev)) % p
         x = solve_array(op(n - g), rhs, p)
+        if x is None:
+            raise NotABoundary(f"no homotopy at position {n}")
         comps[n] = res.algebra.element(x)
         prev = x
     return algebra.from_components(g, comps)
 
 
 class TestNullhomotopy:
-    def test_cached_operators_match_fresh_solves(self, algebra):
-        rng = np.random.default_rng(31)
-        for degree in (1, 2, 3, 4):
-            for _ in range(3):
+    @pytest.mark.parametrize("q", [3, 4, 5, 9])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_shift_solves_match_fresh_solves(self, p, q):
+        algebra = make_algebra(p, q, length=16)
+        rng = np.random.default_rng(10 * p + q)
+        for degree in range(1, 8):
+            for _ in range(2):
                 w = oracle.random_endomorphism(algebra, rng, degree - 1)
                 boundary = algebra.differential(w)
                 h = algebra.nullhomotopy(boundary)
                 assert h == reference_nullhomotopy(algebra, boundary)
                 assert algebra.differential(h) == boundary
+
+    @pytest.mark.parametrize("p,q", [(2, 4), (3, 3), (5, 5), (3, 9), (7, 4)])
+    def test_non_cycle_fails_where_the_reference_does(self, p, q):
+        # a boundary perturbed at one position: the shift solve refuses it
+        # at the first position where the per-position matrix solve finds
+        # no solution, and solves it exactly as that solve does otherwise
+        algebra = make_algebra(p, q, length=12)
+        rng = np.random.default_rng(1000 + 10 * p + q)
+        failed_at = set()
+        for degree in range(1, 5):
+            for n in range(degree, algebra.resolution.length + 1):
+                w = oracle.random_endomorphism(algebra, rng, degree - 1)
+                f = (algebra.differential(w)
+                     + oracle.sparse_endomorphism(algebra, rng, degree, [n]))
+                try:
+                    expected = reference_nullhomotopy(algebra, f)
+                except NotABoundary as exc:
+                    with pytest.raises(NotABoundary) as got:
+                        algebra.nullhomotopy(f)
+                    assert str(got.value) == str(exc)
+                    failed_at.add((degree, int(str(exc).rsplit(" ", 1)[1]) - degree))
+                else:
+                    assert algebra.nullhomotopy(f) == expected
+        # the refusals reach past the joint bottom equation, at both parities
+        assert {(d, k % 2) for d, k in failed_at if k > 0} >= {
+            (d, e) for d in range(1, 5) for e in (0, 1)}
 
     @pytest.mark.parametrize("f1_mode", ["paper", "auto"])
     @pytest.mark.parametrize("p,q", [(2, 4), (3, 3), (5, 5), (3, 9), (7, 4)])

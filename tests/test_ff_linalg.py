@@ -130,16 +130,20 @@ class TestSolve:
 
     @given(matrices(), st.data())
     def test_solve_context_matches(self, pm, data):
+        # against one elimination of [m | b], read off at the pivots
         p, m = pm
         ctx = SolveContext(m, p)
         b = np.array(data.draw(st.lists(st.integers(0, p - 1),
                                         min_size=m.shape[0], max_size=m.shape[0])))
-        direct = solve_array(m, b, p)
-        via_ctx = ctx.solve(b)
-        if direct is None:
-            assert via_ctx is None
+        r, pivots = rref_array(np.concatenate([m, b.reshape(-1, 1)], axis=1), p)
+        if m.shape[1] in pivots:
+            assert ctx.solve(b) is None and solve_array(m, b, p) is None
         else:
-            assert np.array_equal(direct, via_ctx)
+            expected = np.zeros(m.shape[1], dtype=np.int64)
+            for i, c in enumerate(pivots):
+                expected[c] = r[i, -1]
+            assert np.array_equal(ctx.solve(b), expected)
+            assert np.array_equal(solve_array(m, b, p), expected)
 
 
 class TestKernel:

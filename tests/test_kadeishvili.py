@@ -7,7 +7,8 @@ from conftest import SWEEP, computed_record
 from ainfinity.cli import default_truncation
 from ainfinity.endo_dga import EndomorphismAlgebra, HomologyClass
 from ainfinity.errors import (CertificateMissing, CommutationFailure,
-                              DimensionMismatch, InvalidParameter)
+                              DimensionMismatch, InvalidParameter,
+                              UnresolvableValue)
 from ainfinity.kadeishvili import (AInfinityRecord, HElement,
                                    PeriodicityCertificate, UNIT, X, Y,
                                    first_complete_arity, insertion_sign,
@@ -75,6 +76,15 @@ class TestObstruction:
             assert rec.obstruction((X, X, UNIT)).is_zero()
             assert rec.obstruction((UNIT, Y)).is_zero() is False  # id o eta
             assert rec.obstruction((UNIT, X, X, X)).is_zero()
+
+    @pytest.mark.parametrize("mode", ["reduced", "brute"])
+    def test_arity_before_its_predecessors_is_unresolvable(self, mode):
+        # the obstruction reads f_4, whose arity was never computed
+        algebra = EndomorphismAlgebra(build_cyclic_resolution(3, 3, 20))
+        rec = AInfinityRecord(algebra, mode=mode)
+        with pytest.raises(UnresolvableValue, match="arity 4 has not been computed"):
+            rec.compute_arity(5)
+        assert not rec.computed_arities and not rec.m_table and not rec.f_table
 
 
 class TestGoldenStructures:
@@ -193,6 +203,13 @@ class TestLinearExtension:
         rec, _ = record_3_3
         with pytest.raises(InvalidParameter, match="bad monomial"):
             rec.extend_linear([slot, X, X])
+
+    @pytest.mark.parametrize("coeff", [3, 4])
+    def test_element_over_another_prime_rejected(self, record_3_3, coeff):
+        # read mod 3, 3*x was the zero slot (m = 0) and 4*x was x (m = y)
+        rec, _ = record_3_3
+        with pytest.raises(InvalidParameter, match="over F_5, not F_3"):
+            rec.extend_linear([HElement(5, {X: coeff}), X, X])
 
     def test_gate_requires_certificate_or_commutation(self, record_2_4):
         # the certificate is the commutation check, so it alone opens the gate

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import SWEEP
 from ainfinity.errors import InvalidParameter
-from ainfinity.ff_linalg import rank_array
+from ainfinity.ff_linalg import PrimeField, rank_array
 from ainfinity.resolution import TruncatedPolyAlgebra, build_cyclic_resolution
 
 
@@ -28,6 +28,14 @@ class TestAlgebraElement:
     def test_q_lower_bound(self):
         with pytest.raises(InvalidParameter):
             TruncatedPolyAlgebra(2, 2)
+
+    def test_field_is_derived_not_accepted(self):
+        # a passed field was discarded: (3, 4, PrimeField(5)) had field F_3
+        assert TruncatedPolyAlgebra(3, 4).field == PrimeField(3)
+        with pytest.raises(TypeError):
+            TruncatedPolyAlgebra(3, 4, PrimeField(5))
+        with pytest.raises(TypeError):
+            TruncatedPolyAlgebra(3, 4, field=PrimeField(3))
 
 
 @st.composite
