@@ -462,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="highest arity to compute (default 2q)")
     parser.add_argument("--mode", choices=["reduced", "brute-force"], default="reduced")
     parser.add_argument("--f1", choices=["paper", "auto"], default="paper",
-                        help="cycle-choosing section: pinned or echelonized generators")
+                        help="cycle-choosing section: pinned generators, or the echelon "
+                             "section (paper pulled back along x -> -x)")
     parser.add_argument("--truncation", type=int, default=None,
                         help="override the default resolution length")
     parser.add_argument("--verify", action="store_true",

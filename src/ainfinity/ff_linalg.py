@@ -88,12 +88,6 @@ def rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return r, pivots
 
 
-def rank_array(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
-        return 0
-    return len(rref_array(a, p)[1])
-
-
 def solve_array(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     """Canonical solution of a x = b mod p, or None when inconsistent.
 
@@ -105,23 +99,6 @@ def solve_array(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"solve with shapes {a.shape} and {b.shape}")
     return SolveContext(a, p).solve(b)
-
-
-def kernel_basis_array(a: np.ndarray, p: int) -> list[np.ndarray]:
-    """Echelonized basis of the right null space, one vector per free column."""
-    a = np.asarray(a, dtype=np.int64)
-    r, pivots = rref_array(a, p)
-    pivot_set = set(pivots)
-    basis = []
-    for j in range(a.shape[1]):
-        if j in pivot_set:
-            continue
-        v = np.zeros(a.shape[1], dtype=np.int64)
-        v[j] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-int(r[i, j])) % p
-        basis.append(v)
-    return basis
 
 
 class SolveContext:

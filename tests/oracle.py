@@ -1,8 +1,11 @@
 """The window-global "flattened" homology oracle, as plain functions.
 
-The engine reads classes from one coefficient and solves nullhomotopies
-position by position; these functions work on whole-window coordinate
-vectors and `d_matrix` instead, so tests can check the engine against them.
+The engine reads classes from one coefficient, solves nullhomotopies
+position by position and takes the "auto" generators as the "paper" ones
+with x -> -x; these functions work on whole-window coordinate vectors and
+`d_matrix` instead, so tests can check the engine against them.
+`echelon_reps` is the echelon section itself: "auto" is that section, and
+on the cyclic resolution it is "paper" pulled back along x -> -x.
 `expected_document` builds a whole reduced structure file from the closed
 form alone.
 """
@@ -11,7 +14,61 @@ import numpy as np
 
 from ainfinity.endo_dga import HomologyClass
 from ainfinity.errors import NotACycle, TruncationTooShort
-from ainfinity.ff_linalg import SolveContext, rank_array, solve_array
+from ainfinity.ff_linalg import SolveContext, rref_array, solve_array
+
+
+def rank_array(a, p):
+    if a.size == 0:
+        return 0
+    return len(rref_array(a, p)[1])
+
+
+def kernel_basis_array(a, p):
+    """Echelonized basis of the right null space, one vector per free column."""
+    a = np.asarray(a, dtype=np.int64)
+    r, pivots = rref_array(a, p)
+    pivot_set = set(pivots)
+    basis = []
+    for j in range(a.shape[1]):
+        if j in pivot_set:
+            continue
+        v = np.zeros(a.shape[1], dtype=np.int64)
+        v[j] = 1
+        for i, c in enumerate(pivots):
+            v[c] = (-int(r[i, j])) % p
+        basis.append(v)
+    return basis
+
+
+def from_coords(algebra, degree, v):
+    """The degree-g element whose window-global coordinates are `v`."""
+    q = algebra.q
+    comps = {}
+    for n in range(degree, algebra.resolution.length + 1):
+        block = v[q * (n - degree):q * (n - degree + 1)]
+        if np.any(block):
+            comps[n] = algebra.resolution.algebra.element(block)
+    return algebra.from_components(degree, comps)
+
+
+def echelon_reps(algebra, degree):
+    """The echelon section: the cycles of `d_matrix(degree)`, reduced
+    against the boundaries and echelonized, one per homology dimension."""
+    p = algebra.p
+    cycles = kernel_basis_array(algebra.d_matrix(degree), p)
+    if not cycles:
+        return []
+    boundary = algebra.d_matrix(degree - 1)
+    reduced = np.array(cycles, dtype=np.int64)
+    if boundary.size:
+        b_red, b_pivots = rref_array(boundary.T, p)
+        # the rows of an RREF vanish at every other pivot column, so
+        # clearing the pivots one at a time is this one product; entries
+        # are below p < 2^16 and each sum has len(b_pivots) terms, so
+        # int64 holds it exactly
+        reduced = (reduced - reduced[:, b_pivots] @ b_red[:len(b_pivots)]) % p
+    q_red, q_pivots = rref_array(reduced, p)
+    return [from_coords(algebra, degree, q_red[i]) for i in range(len(q_pivots))]
 
 
 def random_endomorphism(algebra, rng, degree):

@@ -5,8 +5,12 @@ import gc
 import hashlib
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -498,6 +502,17 @@ class TestMain:
         assert main(["--query", "product: x,x,x", "--output", str(out)]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "'p'" in err
+
+    def test_package_runs_as_a_module(self):
+        # the package directory comes first, so this is the ainfinity under test
+        src = str(Path(cli.__file__).parents[1])
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ainfinity", "--p", "2", "--q", "4", "--verify"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "verification: pass (15 identities through arity 8)" in proc.stdout.splitlines()
 
     def test_missing_required_flags(self, capsys):
         assert main(["--query", "product: x,x"]) == 1

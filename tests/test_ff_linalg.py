@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ainfinity.errors import DimensionMismatch, InvalidParameter
-from ainfinity.ff_linalg import (PrimeField, SolveContext, kernel_basis_array,
-                                 rank_array, rref_array, solve_array)
+from ainfinity.ff_linalg import PrimeField, SolveContext, rref_array, solve_array
+from oracle import kernel_basis_array, rank_array
 
 PRIMES = [2, 3, 5, 7]
 

@@ -414,21 +414,26 @@ class TestAutoMode:
         m3 = rec.m_table[(X,) * 3]
         assert m3.degree == 2 and not m3.is_zero()
 
-    def test_auto_echelonizes_only_the_generators(self, monkeypatch):
+    def test_auto_builds_its_section_as_paper_does(self, monkeypatch):
         # representatives above degree 2, which y-multiplied values reach
-        # through zeta powers, are composites of the two generators
-        algebra = EndomorphismAlgebra(build_cyclic_resolution(3, 3, 28), f1_mode="auto")
-        echelon = algebra._echelon_reps
-        degrees = []
+        # through zeta powers, are composites of the two generators; "auto"
+        # negates x and builds no flattened matrix beyond the cycle checks
+        counts = {}
+        for f1_mode in ("paper", "auto"):
+            algebra = EndomorphismAlgebra(build_cyclic_resolution(3, 3, 28),
+                                          f1_mode=f1_mode)
+            d_matrix = algebra.d_matrix
+            degrees = []
 
-        def recording(degree, dmat):
-            degrees.append(degree)
-            return echelon(degree, dmat)
+            def recording(degree, d_matrix=d_matrix, degrees=degrees):
+                degrees.append(degree)
+                return d_matrix(degree)
 
-        monkeypatch.setattr(algebra, "_echelon_reps", recording)
-        rec = AInfinityRecord(algebra, mode="reduced")
-        rec.compute_structure(6)
-        for slots in ([(1, 1), X, X], [(1, 2), (1, 1), X], [(1, 3)]):
-            rec.extend_linear(slots)
-        assert max(algebra._basis) == 7
-        assert sorted(degrees) == [1, 2]
+            monkeypatch.setattr(algebra, "d_matrix", recording)
+            rec = AInfinityRecord(algebra, mode="reduced")
+            rec.compute_structure(6)
+            for slots in ([(1, 1), X, X], [(1, 2), (1, 1), X], [(1, 3)]):
+                rec.extend_linear(slots)
+            assert max(algebra._basis) == 7
+            counts[f1_mode] = sorted(degrees)
+        assert counts["auto"] == counts["paper"]

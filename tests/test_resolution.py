@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import SWEEP
+from oracle import rank_array
 from ainfinity.errors import InvalidParameter
-from ainfinity.ff_linalg import PrimeField, rank_array
+from ainfinity.ff_linalg import PrimeField
 from ainfinity.resolution import TruncatedPolyAlgebra, build_cyclic_resolution
 
 
