@@ -189,15 +189,16 @@ def serialize_structure(record: AInfinityRecord, summary: StructureSummary,
             "inputs": [index[m] for m in key],
             "degree": value.degree,
         }
+        # each component is stored as its (1, 1, q) block, `AlgebraMap.entries`
         if cert is not None and key in cert.compacts:
             compact = cert.compacts[key]
             entry["period"] = compact.period
             entry["base"] = compact.base
-            entry["components"] = [b.entries.tolist() for b in compact.blocks]
+            entry["components"] = [[[b.dense()]] for b in compact.blocks]
         else:
             entry["period"] = 0
             entry["base"] = value.degree
-            entry["components"] = [value.component(n).entries.tolist()
+            entry["components"] = [[[value.component(n).dense()]]
                                    for n in value.position_range()]
         maps.append(entry)
 
@@ -508,6 +509,11 @@ def main(argv=None) -> int:
         return result.exit_code
     except AInfinityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}; --truncation sets the window "
+              "length, and a shorter window needs less memory", file=sys.stderr)
         return 1
 
 

@@ -19,10 +19,10 @@ prime field, locally wherever the resolution allows it:
 * nullhomotopies are solved position by position from the bottom of the
   truncation upward, always taking the canonical solution (free
   coordinates zero).  Above the joint bottom equation each position is
-  a coefficient shift: multiplication by a^l has the vectors without
-  coefficients below a^l as its image, and moving them down l places
-  inverts it.  On periodic input this reproduces the periodic homotopies
-  of the cyclic resolution on the nose;
+  a shift by a power of a: multiplication by a^l has the elements without
+  terms below a^l as its image, and `shift(-l)`, which moves the terms
+  down l places, inverts it.  On periodic input this reproduces the
+  periodic homotopies of the cyclic resolution on the nose;
 * Ext is exterior(x) (x) k[y], one-dimensional in every degree and
   generated in degrees 1 and 2, so a section is a choice of two
   generators and every other representative is a composite of them
@@ -36,16 +36,19 @@ prime field, locally wherever the resolution allows it:
   the boundaries); on the cyclic resolution that is "paper" pulled back
   along x -> -x, so "auto" takes -rep_x and rep_y.
 
-Every module is R, so a component is one ring element, and an element
-stores only its nonzero components.  Each d_k multiplies by the monomial
-a or a^(q-1), so the differential moves coefficients up by that exponent
-at the positions where the element is stored and their successors, and
-composition walks the right factor's stored components.  The flattened
-path -- window-global coordinate vectors, the degree-g element's
-components as q-vectors laid end to end (f_n at offset q*(n - g)), and
-the differential as a matrix on them (`d_matrix`) -- only checks each
-built representative once per degree.  The flattened class read,
-dimension count and echelon section live with the tests (tests/oracle.py).
+Every module is R, so a component is one ring element, held as its
+nonzero terms c*a^e (`AlgebraMap.terms`, almost always one monomial), and
+an element stores only its nonzero components.  Each d_k multiplies by the
+monomial a or a^(q-1), so the differential shifts terms up by that
+exponent (`AlgebraMap.shift`) at the positions where the element is
+stored and their successors, and composition walks the right factor's
+stored components.  Numpy is left to the joint bottom solve and to the
+flattened path -- window-global coordinate vectors, the degree-g
+element's components as dense q-vectors laid end to end (f_n at offset
+q*(n - g)), and the differential as a matrix on them (`d_matrix`) --
+which only checks each built representative once per degree.  The
+flattened class read, dimension count and echelon section live with the
+tests (tests/oracle.py).
 
 The engine is single-threaded: the computation is one batch job.  Its
 one cache (`_basis`) holds one representative per degree, built on first
@@ -63,6 +66,12 @@ from .errors import (DimensionMismatch, InvalidParameter, NotABoundary,
 # rref_array is unused here: bench/test_bench.py checks the tracer rebinds it
 from .ff_linalg import rref_array, solve_array  # noqa: F401
 from .resolution import AlgebraMap, PeriodicResolution
+
+
+def _constant_term(m: AlgebraMap) -> int:
+    """The a^0 coefficient of a ring element."""
+    terms = m.terms
+    return terms[0][1] if terms and terms[0][0] == 0 else 0
 
 
 @dataclass(frozen=True)
@@ -117,7 +126,7 @@ class GradedEndomorphism:
                 raise DimensionMismatch(
                     f"component at {n} lies in F_{m.algebra.p}[a]/(a^{m.algebra.q}), "
                     f"not in F_{ring.p}[a]/(a^{ring.q})")
-            if not m.is_zero():
+            if m.terms:
                 comps[n] = m
         self.components = comps
         self._diff = None
@@ -267,31 +276,26 @@ class EndomorphismAlgebra:
         """D f = d o f - (-1)^|f| f o d, of degree |f| + 1.
 
         Every d_k multiplies by a monomial a^e (`PeriodicResolution.exponent`),
-        and R is commutative, so both terms are coefficient shifts:
+        and R is commutative, so both terms are shifts by a power of a:
         (D f)_n = a^e(n - g) f_n - (-1)^g a^e(n) f_(n-1).  Only positions
         where f_n or f_(n-1) is stored are visited.
         """
         res = self.resolution
-        ring = res.algebra
-        q = ring.q
+        zero = res.algebra.zero()
         g = f.degree
-        sign = -1 if g % 2 else 1
         odd, even = res.exponent(1), res.exponent(2)
         stored = f.components
         comps = {}
         for n in sorted({m + i for m in stored for i in (0, 1)}):
             if n <= g or n > res.length:
                 continue
-            out = np.zeros(q, dtype=np.int64)
             fn = stored.get(n)
-            if fn is not None:
-                e = odd if (n - g) % 2 else even
-                out[e:] = fn.coeffs[:q - e]
+            out = fn.shift(odd if (n - g) % 2 else even) if fn is not None else zero
             fprev = stored.get(n - 1)
             if fprev is not None:
-                e = odd if n % 2 else even
-                out[e:] -= sign * fprev.coeffs[:q - e]
-            comps[n] = ring.element(out)
+                moved = fprev.shift(odd if n % 2 else even)
+                out = out + moved if g % 2 else out - moved
+            comps[n] = out
         return GradedEndomorphism(self, g + 1, comps)
 
     def compose(self, f: GradedEndomorphism, g: GradedEndomorphism) -> GradedEndomorphism:
@@ -399,12 +403,12 @@ class EndomorphismAlgebra:
         if not f.differential().is_zero():
             raise NotACycle(f"degree-{g} element has nonzero differential")
         p = self.p
-        lead = int(self.homology_basis(g).component(g).coeffs[0])
+        lead = _constant_term(self.homology_basis(g).component(g))
         if lead == 0:
             raise TruncationTooShort(
                 f"degree {g}: representative has no a^0 term at the bottom; "
                 "the truncation window is unstable")
-        coeff = int(f.component(g).coeffs[0]) * pow(lead, p - 2, p) % p
+        coeff = _constant_term(f.component(g)) * pow(lead, p - 2, p) % p
         return HomologyClass(g, coeff)
 
     def nullhomotopy(self, f: GradedEndomorphism) -> GradedEndomorphism:
@@ -437,23 +441,18 @@ class EndomorphismAlgebra:
         lmat = res.differential(n0 - g).mult_matrix()
         rmat = res.differential(n0).mult_matrix()
         joint = np.concatenate([(-sign * rmat) % p, lmat], axis=1)
-        rhs = f.component(n0).coeffs
-        x = solve_array(joint, rhs, p)
+        x = solve_array(joint, f.component(n0).coeffs, p)
         if x is None:
             raise NotABoundary(f"no homotopy at position {n0}")
         comps[g] = res.algebra.element(x[:q])
-        prev = x[q:]
-        comps[n0] = res.algebra.element(prev)
+        prev = comps[n0] = res.algebra.element(x[q:])
         for n in range(n0 + 1, L + 1):
             r, l = res.exponent(n), res.exponent(n - g)
-            rhs = f.component(n).coeffs.copy()
-            rhs[r:] += sign * prev[:q - r]
-            rhs %= p
-            if np.count_nonzero(rhs[:l]):
+            moved = prev.shift(r)
+            rhs = f.component(n) + moved if sign == 1 else f.component(n) - moved
+            if rhs.terms and rhs.terms[0][0] < l:
                 raise NotABoundary(f"no homotopy at position {n}")
-            prev = np.zeros(q, dtype=np.int64)
-            prev[:q - l] = rhs[l:]
-            comps[n] = res.algebra.element(prev)
+            prev = comps[n] = rhs.shift(-l)
         return GradedEndomorphism(self, g, comps)
 
     def periodic_compact(self, f: GradedEndomorphism) -> CompactForm:

@@ -53,15 +53,6 @@ class PrimeField:
         if not is_prime(self.p):
             raise InvalidParameter(f"modulus {self.p} is not prime")
 
-    def array(self, data) -> np.ndarray:
-        return np.asarray(data, dtype=np.int64) % self.p
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    a.flags.writeable = False
-    return a
-
 
 def rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form of `a` mod p and its pivot columns."""

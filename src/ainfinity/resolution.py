@@ -3,9 +3,10 @@
 The ground ring is R = F_p[a]/(a^q) for a prime p and exponent q >= 3.
 Every module of the resolution is R, and an R-linear map R -> R is
 multiplication by one ring element, so one type (`AlgebraMap`) is both
-the element and the map: it holds the element's q coefficients, composes
-by the truncated polynomial product, and its `mult_matrix` is the q x q
-F_p-matrix of multiplication on coefficient vectors.
+the element and the map: it holds the element's nonzero terms c*a^e,
+composes by the truncated product of those terms, moves them by powers of
+a (`shift`), and its `mult_matrix` is the q x q F_p-matrix of
+multiplication on coefficient vectors.
 
 `build_cyclic_resolution` produces the one resolution the package works
 with (`PeriodicResolution`): the period-2 truncated free resolution of
@@ -17,12 +18,13 @@ kernel of R -> k (evaluation at a = 0), is multiplication by a.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
-from .ff_linalg import PrimeField, _frozen
+from .ff_linalg import PrimeField
 
 
 @dataclass(frozen=True)
@@ -38,44 +40,80 @@ class TruncatedPolyAlgebra:
             raise InvalidParameter(f"truncation exponent q={self.q} must be >= 3")
         object.__setattr__(self, "field", PrimeField(self.p))
 
+    def _reduce(self, c) -> int:
+        """An integer coefficient (python or numpy, of any size) mod p."""
+        try:
+            return operator.index(c) % self.p
+        except TypeError:
+            raise InvalidParameter(f"coefficient {c!r} is not an integer") from None
+
     def element(self, coeffs) -> "AlgebraMap":
-        coeffs = self.field.array(coeffs)
-        if coeffs.shape != (self.q,):
-            raise DimensionMismatch(f"need {self.q} coefficients, got {coeffs.shape}")
-        return AlgebraMap(self, coeffs)
+        """The element sum_i coeffs[i] * a^i of q integer coefficients."""
+        values = coeffs.tolist() if isinstance(coeffs, np.ndarray) else coeffs
+        if not isinstance(values, (list, tuple)) or len(values) != self.q:
+            raise DimensionMismatch(f"need {self.q} coefficients, got {coeffs!r}")
+        reduced = [self._reduce(c) for c in values]
+        return AlgebraMap(self, tuple([(e, c) for e, c in enumerate(reduced) if c]))
 
     def zero(self) -> "AlgebraMap":
-        return self.element(np.zeros(self.q, dtype=np.int64))
+        return AlgebraMap(self, ())
 
     def one(self) -> "AlgebraMap":
         return self.scalar(1)
 
     def scalar(self, c: int) -> "AlgebraMap":
-        coeffs = np.zeros(self.q, dtype=np.int64)
-        coeffs[0] = c % self.p
-        return self.element(coeffs)
+        return self.alpha(0, c)
 
     def alpha(self, power: int = 1, coeff: int = 1) -> "AlgebraMap":
         """coeff * a^power, which is zero once power >= q."""
-        coeffs = np.zeros(self.q, dtype=np.int64)
-        if 0 <= power < self.q:
-            coeffs[power] = coeff % self.p
-        return self.element(coeffs)
+        c = self._reduce(coeff)
+        return AlgebraMap(self, ((power, c),) if c and 0 <= power < self.q else ())
+
+
+def _canonical(algebra: TruncatedPolyAlgebra, acc: dict) -> "AlgebraMap":
+    """The element with coefficient acc[e] (any integer) at a^e."""
+    p = algebra.p
+    terms = []
+    for e in sorted(acc):
+        c = acc[e] % p
+        if c:
+            terms.append((e, c))
+    return AlgebraMap(algebra, tuple(terms))
 
 
 class AlgebraMap:
-    """Element r of R, as the length-q coefficient vector of 1, a, ...,
-    a^(q-1), and the R-linear map R -> R that multiplies by r.
+    """Element r of R, and the R-linear map R -> R that multiplies by r.
 
-    Build elements through `TruncatedPolyAlgebra.element`, which reduces
-    and checks the coefficients; the arithmetic below keeps them reduced.
+    `terms` holds r's nonzero terms: a tuple of (exponent, coeff) pairs of
+    python ints, exponents increasing in [0, q) and each coeff in [1, p).
+    Almost every component the engine builds is one monomial c*a^e, so the
+    arithmetic walks terms, not q-vectors.  `coeffs`, `entries` and
+    `mult_matrix` are dense numpy views, built on each call for the
+    flattened path and the tests.
+
+    Build elements through `TruncatedPolyAlgebra`, which reduces and checks
+    the coefficients; the arithmetic below keeps the terms canonical.
     """
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: TruncatedPolyAlgebra, coeffs: np.ndarray):
+    def __init__(self, algebra: TruncatedPolyAlgebra, terms: tuple):
         self.algebra = algebra
-        self.coeffs = _frozen(coeffs)
+        self.terms = terms
+
+    def dense(self) -> list:
+        """The q coefficients of 1, a, ..., a^(q-1), as python ints."""
+        row = [0] * self.algebra.q
+        for e, c in self.terms:
+            row[e] = c
+        return row
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """Read-only length-q coefficient vector of 1, a, ..., a^(q-1)."""
+        v = np.array(self.dense(), dtype=np.int64)
+        v.flags.writeable = False
+        return v
 
     @property
     def entries(self) -> np.ndarray:
@@ -84,59 +122,83 @@ class AlgebraMap:
         return self.coeffs.reshape(1, 1, -1)
 
     def is_zero(self) -> bool:
-        # count_nonzero costs a fraction of ndarray.any on q-vectors
-        return not np.count_nonzero(self.coeffs)
+        return not self.terms
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AlgebraMap)
+            and self.terms == other.terms
             and (self.algebra is other.algebra or self.algebra == other.algebra)
-            and bool(np.array_equal(self.coeffs, other.coeffs))
         )
 
     def __hash__(self):
-        return hash((self.algebra, self.coeffs.tobytes()))
+        return hash((self.algebra, self.terms))
 
     def __add__(self, other: "AlgebraMap") -> "AlgebraMap":
-        return AlgebraMap(self.algebra, (self.coeffs + other.coeffs) % self.algebra.p)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "AlgebraMap") -> "AlgebraMap":
-        return AlgebraMap(self.algebra, (self.coeffs - other.coeffs) % self.algebra.p)
+        return self._plus(other, -1)
+
+    def _plus(self, other: "AlgebraMap", sign: int) -> "AlgebraMap":
+        """self + sign * other, for sign = 1 or -1."""
+        if not other.terms:
+            return self
+        acc = dict(self.terms)
+        for e, c in other.terms:
+            acc[e] = acc.get(e, 0) + sign * c
+        return _canonical(self.algebra, acc)
 
     def __neg__(self) -> "AlgebraMap":
-        return AlgebraMap(self.algebra, (-self.coeffs) % self.algebra.p)
+        return self.scale(-1)
 
     def scale(self, c: int) -> "AlgebraMap":
-        return AlgebraMap(self.algebra, (self.coeffs * (int(c) % self.algebra.p)) % self.algebra.p)
+        p = self.algebra.p
+        c = self.algebra._reduce(c)
+        if not c:
+            return AlgebraMap(self.algebra, ())
+        return AlgebraMap(self.algebra, tuple([(e, x * c % p) for e, x in self.terms]))
+
+    def shift(self, k: int) -> "AlgebraMap":
+        """a^k times this element for k >= 0, which drops the terms pushed
+        to a^q or above.  For k < 0 the terms below a^(-k) are dropped and
+        the rest move down -k places: the canonical h with a^(-k) h = self
+        when self has no term below a^(-k)."""
+        q = self.algebra.q
+        return AlgebraMap(self.algebra,
+                          tuple([(e + k, c) for e, c in self.terms if 0 <= e + k < q]))
 
     def compose(self, other: "AlgebraMap") -> "AlgebraMap":
         """self after other: the truncated product, a^i * a^j = 0 once i + j >= q."""
-        full = np.convolve(self.coeffs, other.coeffs)
-        return AlgebraMap(self.algebra, full[:self.algebra.q] % self.algebra.p)
+        q = self.algebra.q
+        acc = {}
+        for i, c in self.terms:
+            for j, d in other.terms:
+                if i + j >= q:
+                    break
+                acc[i + j] = acc.get(i + j, 0) + c * d
+        return _canonical(self.algebra, acc)
 
     def mult_matrix(self) -> np.ndarray:
         """q x q matrix of multiplication by this element on coefficient vectors."""
         q = self.algebra.q
         m = np.zeros((q, q), dtype=np.int64)
-        for j in range(q):
-            if self.coeffs[j]:
-                idx = np.arange(q - j)
-                m[idx + j, idx] = self.coeffs[j]
+        idx = np.arange(q)
+        for j, c in self.terms:
+            m[idx[j:], idx[:q - j]] = c
         return m
 
     def __repr__(self):
-        if self.is_zero():
+        if not self.terms:
             return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
+        out = []
+        for i, c in self.terms:
             if i == 0:
-                terms.append(str(int(c)))
+                out.append(str(c))
             else:
                 pw = "a" if i == 1 else f"a^{i}"
-                terms.append(pw if c == 1 else f"{int(c)}*{pw}")
-        return " + ".join(terms)
+                out.append(pw if c == 1 else f"{c}*{pw}")
+        return " + ".join(out)
 
 
 class PeriodicResolution:

@@ -21,6 +21,7 @@ from ainfinity import cli, ff_linalg
 from ainfinity.cli import (RunConfig, StructureDocument, default_truncation,
                            dump_structure, main, parse_element,
                            parse_structure, run, run_query, split_query)
+from ainfinity.endo_dga import EndomorphismAlgebra
 from ainfinity.errors import InvalidParameter, UnresolvableValue
 from ainfinity.kadeishvili import HElement
 
@@ -487,6 +488,19 @@ class TestMain:
                      "--truncation", "5"]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "arity" in err
+
+    def test_out_of_memory_exit_one(self, monkeypatch, capsys):
+        # numpy's allocation failure is a MemoryError subclass; here the
+        # window-global check matrix is the array that cannot be allocated
+        def refuse(algebra, degree):
+            raise MemoryError("Unable to allocate 8.11 GiB for an array")
+
+        monkeypatch.setattr(EndomorphismAlgebra, "d_matrix", refuse)
+        assert main(["--p", "2", "--q", "4", "--verify"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory (")
+        assert "8.11 GiB" in lines[0] and "--truncation" in lines[0]
 
     def test_undecodable_structure_file_exit_one(self, tmp_path, capsys):
         out = tmp_path / "structure.json"
