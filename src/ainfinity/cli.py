@@ -28,8 +28,8 @@ from .endo_dga import EndomorphismAlgebra, HomologyClass
 from .errors import AInfinityError, InvalidParameter, UnresolvableValue
 from .ff_linalg import PrimeField
 from .kadeishvili import (AInfinityRecord, HElement, Monomial, StructureSummary,
-                          UNIT, X, linear_product, lookup, monomial_degree,
-                          monomial_name, product_value)
+                          UNIT, X, check_max_arity, linear_product, lookup,
+                          monomial_degree, monomial_name, product_value)
 from .resolution import build_cyclic_resolution
 from .stasheff import verify_structure
 
@@ -165,6 +165,7 @@ def _monomial_listing(record: AInfinityRecord) -> list:
 def serialize_structure(record: AInfinityRecord, summary: StructureSummary,
                         report, config: RunConfig) -> StructureDocument:
     listing = _monomial_listing(record)
+    q = record.algebra.q
     index = {mono: i for i, mono in enumerate(listing)}
     basis = [{"index": i, "name": monomial_name(m), "eps": m[0], "ypow": m[1],
               "degree": monomial_degree(m)} for i, m in enumerate(listing)]
@@ -196,9 +197,11 @@ def serialize_structure(record: AInfinityRecord, summary: StructureSummary,
             entry["base"] = compact.base
             entry["components"] = [[[b.dense()]] for b in compact.blocks]
         else:
+            # a fresh zero row per unstored position, so no two nodes alias
+            stored = value.components
             entry["period"] = 0
             entry["base"] = value.degree
-            entry["components"] = [[[value.component(n).dense()]]
+            entry["components"] = [[[stored[n].dense() if n in stored else [0] * q]]
                                    for n in value.position_range()]
         maps.append(entry)
 
@@ -231,8 +234,65 @@ def serialize_structure(record: AInfinityRecord, summary: StructureSummary,
     })
 
 
+_quote = json.encoder.encode_basestring_ascii
+_INT = {int}
+
+
 def dump_structure(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    """The structure file's text: byte for byte
+    `json.dumps(doc, sort_keys=True, indent=1) + "\n"` for every document
+    `serialize_structure` builds.
+
+    `indent` makes json fall back to its pure-Python encoder, one token per
+    generator step, so the same layout is written here directly: dict keys
+    sorted and quoted as json quotes them, lists and tuples as arrays, and a
+    list of plain ints (a component's q coefficients, an `inputs` list) in
+    one join, rendered once per call for each indent and value sequence
+    (brute files repeat a few components thousands of times).  Values other
+    than dicts, lists, tuples, str, int, bool and None, and keys that are
+    not str, raise TypeError.
+    """
+    int_lists = {}
+
+    def render(node, newline: str) -> str:
+        # `newline` is a line break and the node's indent
+        if isinstance(node, (list, tuple)):
+            if not node:
+                return "[]"
+            inner = newline + " "
+            # exactly int: a bool is an int, but json writes it as true/false
+            if type(node[0]) is int and set(map(type, node)) == _INT:
+                key = (newline, *node)
+                text = int_lists.get(key)
+                if text is None:
+                    digits = ("," + inner).join(map(int.__repr__, node))
+                    text = int_lists[key] = "[" + inner + digits + newline + "]"
+                return text
+            items = [render(item, inner) for item in node]
+            return "[" + inner + ("," + inner).join(items) + newline + "]"
+        if isinstance(node, dict):
+            if not node:
+                return "{}"
+            inner = newline + " "
+            items = []
+            for key in sorted(node):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                items.append(_quote(key) + ": " + render(node[key], inner))
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+        if isinstance(node, str):
+            return _quote(node)
+        if node is None:
+            return "null"
+        if node is True:
+            return "true"
+        if node is False:
+            return "false"
+        if isinstance(node, int):
+            return int.__repr__(node)
+        raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+
+    return render(doc, "\n") + "\n"
 
 
 def _bad(what: str, value):
@@ -386,6 +446,8 @@ def format_map_entry(found: tuple[dict, int] | None) -> list:
 def run(config: RunConfig) -> RunResult:
     if config.p is None or config.q is None:
         raise InvalidParameter("--p and --q are required to compute a structure")
+    # before the window, whose default length comes from the arity
+    check_max_arity(config.max_arity)
     resolution = build_cyclic_resolution(config.p, config.q, config.resolved_truncation())
     algebra = EndomorphismAlgebra(resolution, f1_mode=config.f1_mode)
     record = AInfinityRecord(algebra, mode=config.internal_mode())

@@ -131,6 +131,19 @@ class GradedEndomorphism:
         self.components = comps
         self._diff = None
 
+    @classmethod
+    def _built(cls, algebra: "EndomorphismAlgebra", degree: int,
+               components: dict) -> "GradedEndomorphism":
+        """A result of the engine's own arithmetic: its degree and positions
+        are in range and its components in the ring by construction, so only
+        the zero components are dropped."""
+        self = object.__new__(cls)
+        self.algebra = algebra
+        self.degree = degree
+        self.components = {n: m for n, m in components.items() if m.terms}
+        self._diff = None
+        return self
+
     def position_range(self) -> range:
         return range(self.degree, self.algebra.resolution.length + 1)
 
@@ -163,18 +176,18 @@ class GradedEndomorphism:
         comps = dict(self.components)
         for n, m in other.components.items():
             comps[n] = comps[n] + m if n in comps else m
-        return GradedEndomorphism(self.algebra, self.degree, comps)
+        return GradedEndomorphism._built(self.algebra, self.degree, comps)
 
     def __sub__(self, other: "GradedEndomorphism") -> "GradedEndomorphism":
         return self + (-other)
 
     def __neg__(self) -> "GradedEndomorphism":
-        return GradedEndomorphism(self.algebra, self.degree,
-                                  {n: -m for n, m in self.components.items()})
+        return GradedEndomorphism._built(self.algebra, self.degree,
+                                         {n: -m for n, m in self.components.items()})
 
     def scale(self, c: int) -> "GradedEndomorphism":
-        return GradedEndomorphism(self.algebra, self.degree,
-                                  {n: m.scale(c) for n, m in self.components.items()})
+        return GradedEndomorphism._built(self.algebra, self.degree,
+                                         {n: m.scale(c) for n, m in self.components.items()})
 
     def _check_compatible(self, other: "GradedEndomorphism"):
         if self.algebra is not other.algebra:
@@ -296,7 +309,7 @@ class EndomorphismAlgebra:
                 moved = fprev.shift(odd if n % 2 else even)
                 out = out + moved if g % 2 else out - moved
             comps[n] = out
-        return GradedEndomorphism(self, g + 1, comps)
+        return GradedEndomorphism._built(self, g + 1, comps)
 
     def compose(self, f: GradedEndomorphism, g: GradedEndomorphism) -> GradedEndomorphism:
         """(f o g)_n = f_(n - |g|) o g_n, of degree |f| + |g|.
@@ -313,7 +326,7 @@ class EndomorphismAlgebra:
             fm = f.components.get(n - shift)
             if fm is not None:
                 comps[n] = fm.compose(gn)
-        return GradedEndomorphism(self, f.degree + g.degree, comps)
+        return GradedEndomorphism._built(self, f.degree + g.degree, comps)
 
     # ----- flattened coordinates ----------------------------------------------
 
@@ -446,14 +459,16 @@ class EndomorphismAlgebra:
             raise NotABoundary(f"no homotopy at position {n0}")
         comps[g] = res.algebra.element(x[:q])
         prev = comps[n0] = res.algebra.element(x[q:])
+        zero = res.algebra.zero()
         for n in range(n0 + 1, L + 1):
             r, l = res.exponent(n), res.exponent(n - g)
             moved = prev.shift(r)
-            rhs = f.component(n) + moved if sign == 1 else f.component(n) - moved
+            fn = f.components.get(n, zero)
+            rhs = fn + moved if sign == 1 else fn - moved
             if rhs.terms and rhs.terms[0][0] < l:
                 raise NotABoundary(f"no homotopy at position {n}")
             prev = comps[n] = rhs.shift(-l)
-        return GradedEndomorphism(self, g, comps)
+        return GradedEndomorphism._built(self, g, comps)
 
     def periodic_compact(self, f: GradedEndomorphism) -> CompactForm:
         """Compress f to one period of the resolution, or raise NotPeriodic.

@@ -280,6 +280,13 @@ class StructureSummary:
         return "open" if self.halted_at is None else f"complete-at-{self.halted_at}"
 
 
+def check_max_arity(max_arity: int):
+    """Raise InvalidParameter unless the structure is asked through arity 2
+    at least, the lowest arity computed."""
+    if max_arity < 2:
+        raise InvalidParameter("max arity must be at least 2")
+
+
 class AInfinityRecord:
     """Memoized state of one structure computation.
 
@@ -535,8 +542,7 @@ class AInfinityRecord:
     def compute_structure(self, max_arity: int) -> StructureSummary:
         """Populate the tables through `max_arity` (or the halting arity),
         certifying each arity in reduced mode."""
-        if max_arity < 2:
-            raise InvalidParameter("max arity must be at least 2")
+        check_max_arity(max_arity)
         for n in range(2, max_arity + 1):
             if self.halted_at is not None and n >= self.halted_at:
                 break

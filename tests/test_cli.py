@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from conftest import SWEEP
@@ -136,6 +138,11 @@ def sweep_run(p, q, mode, f1_mode):
                          f1_mode=f1_mode, verify=True))
 
 
+def _json_text(doc) -> str:
+    """The layout `dump_structure` promises, from json itself."""
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
 @pytest.mark.parametrize("p,q,mode,f1_mode", sorted(GOLDEN_DIGESTS))
 def test_golden_structure_digest(p, q, mode, f1_mode):
     result = sweep_run(p, q, mode, f1_mode)
@@ -143,6 +150,73 @@ def test_golden_structure_digest(p, q, mode, f1_mode):
     text = dump_structure(result.document)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == GOLDEN_DIGESTS[(p, q, mode, f1_mode)]
+    assert text == _json_text(result.document)
+
+
+def test_writer_is_json_on_a_large_brute_file():
+    # (7,10) brute: a 1.7 MB file, mostly repeated all-zero components
+    doc = run(RunConfig(p=7, q=10, max_arity=20, mode="brute-force")).document
+    assert dump_structure(doc) == _json_text(doc)
+
+
+def test_brute_file_rows_are_distinct_lists():
+    # every unstored position gets a fresh zero row, so editing one node of a
+    # document edits no other
+    doc = sweep_run(3, 9, "brute-force", "paper").document
+    rows = [row for entry in doc["maps"] for comp in entry["components"] for row in comp[0]]
+    assert any(not any(row) for row in rows)
+    assert len({id(row) for row in rows}) == len(rows)
+
+
+_TRICKY_TEXT = ['"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\n\t\r", "é", "\u2028", "日本",
+                "\U0001f600", ""]
+_json_ints = st.one_of(st.integers(), st.integers(min_value=2 ** 64),
+                       st.integers(max_value=-1))
+_json_text_values = st.one_of(st.text(), st.sampled_from(_TRICKY_TEXT))
+_json_leaves = st.one_of(st.none(), st.booleans(), _json_ints, _json_text_values,
+                         st.lists(_json_ints), st.lists(st.one_of(_json_ints, st.booleans())))
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple),
+        st.dictionaries(_json_text_values, children),
+        st.dictionaries(_json_text_values, children).map(StructureDocument)),
+    max_leaves=30)
+
+
+class TestWriter:
+    """`dump_structure` against its oracle, json's indent=1 layout."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_json_trees)
+    def test_json_like_trees(self, doc):
+        assert dump_structure(doc) == _json_text(doc)
+
+    @pytest.mark.parametrize("doc", [
+        [], {}, [[]], {"": {}}, (), [()], StructureDocument(),
+        [1, True], [True, 1], [False, 0, -0], [[1, 1], [True, 1], [1, 1]],
+        {"a": [0, 0], "b": {"c": [0, 0], "d": [[0, 0]]}},
+        [2 ** 64, -(2 ** 70), 0], None, "x", 7, True,
+        {"b": 1, "a": 2, "B": 3, "\u00e9": 4, '"': 5},
+    ])
+    def test_edge_cases(self, doc):
+        assert dump_structure(doc) == _json_text(doc)
+
+    @pytest.mark.parametrize("doc", [
+        np.int64(3), [np.int64(3)], [1, np.int64(3)], {"a": {1, 2}}, {1, 2},
+    ])
+    def test_other_values_raise(self, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, sort_keys=True, indent=1)
+        with pytest.raises(TypeError):
+            dump_structure(doc)
+
+    @pytest.mark.parametrize("doc", [{1: 2}, {"a": {None: 1}}, {"a": 1.5}])
+    def test_what_json_would_convert_raises(self, doc):
+        # json writes these keys as strings, and floats; a structure file
+        # holds str keys and integers only
+        with pytest.raises(TypeError):
+            dump_structure(doc)
 
 
 _SLOT_DEGREES = {"1": 0, "x": 1, "y": 2, "y*x": 3, "y^2": 4, "y^2*x": 5}
@@ -478,6 +552,13 @@ class TestMain:
         captured = capsys.readouterr()
         assert not captured.out
         assert captured.err.startswith("error:") and "empty tuple entry" in captured.err
+
+    @pytest.mark.parametrize("arity", ["-3", "-1", "0", "1"])
+    def test_max_arity_below_two_exit_one(self, arity, capsys):
+        # checked before the window, whose default length comes from the arity
+        assert main(["--p", "2", "--q", "3", "--max-arity", arity]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: max arity must be at least 2\n")
 
     def test_invalid_parameters_exit_one(self, capsys):
         assert main(["--p", "2", "--q", "2"]) == 1

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import oracle
-from ainfinity.endo_dga import EndomorphismAlgebra, HomologyClass
-from ainfinity.errors import (DimensionMismatch, NotABoundary, NotACycle,
-                              NotPeriodic, TruncationTooShort)
+from ainfinity.endo_dga import EndomorphismAlgebra, GradedEndomorphism, HomologyClass
+from ainfinity.errors import (DimensionMismatch, InvalidParameter, NotABoundary,
+                              NotACycle, NotPeriodic, TruncationTooShort)
 from ainfinity.ff_linalg import solve_array
 from ainfinity.resolution import TruncatedPolyAlgebra, build_cyclic_resolution
 
@@ -79,6 +79,30 @@ class TestComponents:
         algebra = make_algebra(3, 4)
         with pytest.raises(DimensionMismatch):
             algebra.from_components(1, {2: TruncatedPolyAlgebra(p, q).one()})
+
+    @pytest.mark.parametrize("build", [GradedEndomorphism, EndomorphismAlgebra.from_components],
+                             ids=["constructor", "from_components"])
+    def test_public_routes_check_every_component(self, build):
+        # the engine's own results skip these checks; the public routes keep them
+        algebra = make_algebra(3, 4, length=10)
+        one = algebra.resolution.algebra.one()
+        for position in (0, 11):
+            with pytest.raises(InvalidParameter,
+                               match=rf"^component position {position} outside \[1, 10\]$"):
+                build(algebra, 1, {position: one})
+        with pytest.raises(DimensionMismatch,
+                           match=r"^component at 2 lies in F_5\[a\]/\(a\^4\), "
+                                 r"not in F_3\[a\]/\(a\^4\)$"):
+            build(algebra, 1, {2: TruncatedPolyAlgebra(5, 4).one()})
+
+    def test_engine_results_drop_zero_components(self, algebra):
+        # a^(q-1) o a^(q-1) and f - f vanish; nothing zero is stored
+        alg = algebra.resolution.algebra
+        top = algebra.from_element_pattern(1, alg.alpha(alg.q - 1), alg.alpha(alg.q - 1))
+        assert algebra.compose(top, top).components == {}
+        assert (top - top).components == {}
+        assert top.scale(algebra.p).components == {}
+        assert all(m.terms for m in algebra.differential(top).components.values())
 
 
 class TestFlattenedCoordinates:
